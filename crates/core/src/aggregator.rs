@@ -10,83 +10,22 @@
 //! requests — the global minima) to all workers, advances the columns,
 //! and resets the accumulators (Algorithm 1 lines 19–27).
 //!
+//! That slot logic is [`crate::protocol::SlotTable`]; this driver owns the
+//! payload (one [`ColAccumulator`] per column), the transport and the
+//! counters.
+//!
 //! The shard runs until every worker has sent a `Shutdown`.
 
 use omnireduce_telemetry::{Counter, FlightEventKind, FlightLane, LaneRole, Telemetry};
-use omnireduce_tensor::{BlockIdx, INFINITY_BLOCK};
 use omnireduce_transport::{
     BufferPool, Entry, Message, NodeId, Packet, PacketKind, Transport, TransportError,
 };
 
 use crate::config::OmniConfig;
-use crate::layout::StreamLayout;
+use crate::protocol::{ColEntry, Row, SlotTable};
+use crate::shard::ShardMap;
 use crate::slot::ColAccumulator;
 use crate::wire::{decode_next, encode_next};
-
-/// Sentinel for "worker has not announced a next yet" — the paper's −∞
-/// (Algorithm 1 line 18).
-const NEG_INFINITY: i64 = -1;
-
-/// Per-column slot state.
-struct ColSlot {
-    /// Block currently being aggregated ([`INFINITY_BLOCK`] once the
-    /// column is exhausted).
-    cur: BlockIdx,
-    /// Block accumulator (arrival-order or deterministic §7; buffers
-    /// reused in place across blocks and rounds — DESIGN §9).
-    acc: ColAccumulator,
-    /// Per-worker next non-zero block (−1 = not yet announced).
-    next_of: Vec<i64>,
-}
-
-impl ColSlot {
-    fn new(first: BlockIdx, num_workers: usize, deterministic: bool) -> Self {
-        ColSlot {
-            cur: first,
-            acc: ColAccumulator::new(num_workers, deterministic),
-            next_of: vec![NEG_INFINITY; num_workers],
-        }
-    }
-
-    /// Rearms the column for a new round, keeping every buffer.
-    fn reset(&mut self, first: BlockIdx) {
-        self.cur = first;
-        self.acc.reset();
-        self.next_of.fill(NEG_INFINITY);
-    }
-
-    fn active(&self) -> bool {
-        self.cur != INFINITY_BLOCK
-    }
-
-    /// min over workers of next_of; `None` while any worker is still at −∞.
-    fn min_next(&self) -> Option<BlockIdx> {
-        let mut min = i64::MAX;
-        for n in &self.next_of {
-            if *n == NEG_INFINITY {
-                return None;
-            }
-            min = min.min(*n);
-        }
-        Some(min as BlockIdx)
-    }
-
-    /// The completion condition of Algorithm 1 line 22:
-    /// `cur < min(next)` with −∞ blocking completion.
-    fn complete(&self) -> bool {
-        match self.min_next() {
-            Some(m) => {
-                (self.cur as i64) < m as i64 || m == INFINITY_BLOCK && self.cur != INFINITY_BLOCK
-            }
-            None => false,
-        }
-    }
-}
-
-/// Per-stream slot.
-struct Slot {
-    cols: Vec<Option<ColSlot>>,
-}
 
 /// Data-plane counters of one aggregator shard (observability for
 /// operators; also used by tests).
@@ -108,6 +47,7 @@ pub struct AggregatorStats {
 /// Fleet-wide `core.aggregator.*` registry mirrors of
 /// [`AggregatorStats`] (detached no-ops unless built via
 /// [`OmniAggregator::with_telemetry`]).
+#[derive(Default)]
 struct AggregatorCounters {
     packets: Counter,
     blocks_received: Counter,
@@ -117,16 +57,6 @@ struct AggregatorCounters {
 }
 
 impl AggregatorCounters {
-    fn detached() -> Self {
-        AggregatorCounters {
-            packets: Counter::detached(),
-            blocks_received: Counter::detached(),
-            slots_completed: Counter::detached(),
-            rounds_completed: Counter::detached(),
-            results_sent: Counter::detached(),
-        }
-    }
-
     fn registered(telemetry: &Telemetry) -> Self {
         AggregatorCounters {
             packets: telemetry.counter("core.aggregator.packets"),
@@ -138,28 +68,84 @@ impl AggregatorCounters {
     }
 }
 
+/// The I/O both `Transport`-driven aggregators ([`OmniAggregator`],
+/// [`crate::switch::SwitchAggregator`]) share: who is still listening,
+/// and the result multicast to them.
+pub(crate) struct ResultFanout {
+    /// Workers that sent `Shutdown` (finished; excluded from multicasts).
+    departed: Vec<bool>,
+}
+
+impl ResultFanout {
+    pub(crate) fn new(num_workers: usize) -> Self {
+        ResultFanout {
+            departed: vec![false; num_workers],
+        }
+    }
+
+    /// Records worker `from`'s `Shutdown`: it has finished every round it
+    /// will run, so results stop going to it (its endpoint may already be
+    /// gone). True once every worker has left.
+    pub(crate) fn goodbye(&mut self, from: NodeId) -> bool {
+        self.departed[from.index()] = true;
+        self.departed.iter().all(|gone| *gone)
+    }
+
+    /// Multicasts `entries` as stream `g`'s result to every worker still
+    /// present (Algorithm 1 line 27), then returns the message's buffers
+    /// to `pool`: transports borrow `&Message`, so the steady state
+    /// allocates nothing (DESIGN §9).
+    pub(crate) fn multicast<T: Transport>(
+        &self,
+        transport: &T,
+        cfg: &OmniConfig,
+        pool: &mut BufferPool,
+        g: usize,
+        entries: Vec<Entry>,
+    ) -> Result<(), TransportError> {
+        let msg = Message::Block(Packet {
+            kind: PacketKind::Result,
+            ver: 0,
+            slot: g as u16,
+            stream: cfg.stream_id,
+            wid: u16::MAX,
+            epoch: 0,
+            entries,
+        });
+        let sent = (0..cfg.num_workers)
+            .filter(|w| !self.departed[*w])
+            .try_for_each(|w| {
+                crate::wire::send_best_effort(transport, NodeId(cfg.worker_node(w)), &msg)
+            });
+        pool.recycle_message(msg);
+        sent
+    }
+}
+
 /// The aggregator shard engine.
 pub struct OmniAggregator<T: Transport> {
     transport: T,
     cfg: OmniConfig,
-    layout: StreamLayout,
     shard: usize,
-    slots: Vec<Option<Slot>>, // indexed by stream; None if not ours
-    /// Workers that sent `Shutdown` (finished; excluded from multicasts).
-    departed: Vec<bool>,
-    goodbyes: usize,
+    /// Algorithm 1's slots for the streams this shard owns.
+    table: SlotTable,
+    /// Block accumulator per (stream, column), `stream × width + column`
+    /// (arrival-order or deterministic §7; buffers reused in place
+    /// across blocks and rounds — DESIGN §9). `None` for streams of
+    /// other shards and columns past the end of the tensor.
+    accs: Vec<Option<ColAccumulator>>,
+    fanout: ResultFanout,
     /// Data-plane counters.
     pub stats: AggregatorStats,
     counters: AggregatorCounters,
     /// Protocol flight lane (no-op unless the registry's flight
     /// recorder is enabled).
     flight: FlightLane,
-    streams_open_this_round: usize,
     /// Freelists for result-packet buffers (checked out at completion,
     /// recycled after the multicast — DESIGN §9).
     pool: BufferPool,
-    /// Multicast destination scratch, refilled per completion.
-    workers_scratch: Vec<NodeId>,
+    /// Completed-row scratch, refilled per completion.
+    row: Vec<ColEntry>,
 }
 
 impl<T: Transport> OmniAggregator<T> {
@@ -173,44 +159,29 @@ impl<T: Transport> OmniAggregator<T> {
             "transport node {node} is not an aggregator"
         );
         let shard = node - cfg.num_workers;
-        let layout = StreamLayout::new(
-            cfg.block_spec(),
-            cfg.fusion,
-            cfg.total_streams(),
-            cfg.tensor_len,
-        );
-        let slots = (0..layout.total_streams())
-            .map(|g| {
-                (cfg.shard_of_stream(g) == shard).then(|| Slot {
-                    cols: (0..layout.width())
-                        .map(|c| {
-                            layout
-                                .first_block(g, c)
-                                .map(|b0| ColSlot::new(b0, cfg.num_workers, cfg.deterministic))
-                        })
-                        .collect(),
-                })
-            })
-            .collect();
-        let departed = vec![false; cfg.num_workers];
-        let streams_open_this_round = (0..layout.total_streams())
-            .filter(|g| cfg.shard_of_stream(*g) == shard && layout.first_block(*g, 0).is_some())
-            .count();
+        let map = ShardMap::new(&cfg);
+        let layout = *map.layout();
+        let table = SlotTable::new(layout, map.streams_of(shard), cfg.num_workers);
+        let mut accs = vec![None; layout.total_streams() * layout.width()];
+        for g in map.streams_of(shard) {
+            for c in layout.valid_columns(g) {
+                accs[g * layout.width() + c] =
+                    Some(ColAccumulator::new(cfg.num_workers, cfg.deterministic));
+            }
+        }
         let pool = BufferPool::for_block_size(cfg.block_size);
         OmniAggregator {
             transport,
+            fanout: ResultFanout::new(cfg.num_workers),
             cfg,
-            layout,
             shard,
-            slots,
-            departed,
-            goodbyes: 0,
+            table,
+            accs,
             stats: AggregatorStats::default(),
-            counters: AggregatorCounters::detached(),
+            counters: AggregatorCounters::default(),
             flight: FlightLane::disabled(),
-            streams_open_this_round,
             pool,
-            workers_scratch: Vec::new(),
+            row: Vec::new(),
         }
     }
 
@@ -244,14 +215,7 @@ impl<T: Transport> OmniAggregator<T> {
                     self.handle_data(p)?;
                 }
                 Message::Shutdown => {
-                    // The worker has finished every round it will run;
-                    // stop multicasting results to it (its endpoint may
-                    // already be gone).
-                    if !self.departed[from.index()] {
-                        self.departed[from.index()] = true;
-                        self.goodbyes += 1;
-                    }
-                    if self.goodbyes == self.cfg.num_workers {
+                    if self.fanout.goodbye(from) {
                         return Ok(());
                     }
                 }
@@ -262,7 +226,7 @@ impl<T: Transport> OmniAggregator<T> {
 
     fn handle_data(&mut self, p: Packet) -> Result<(), TransportError> {
         let g = p.slot as usize;
-        let width = self.layout.width();
+        let width = self.cfg.fusion;
         let blocks = p.entries.iter().filter(|e| !e.data.is_empty()).count() as u64;
         self.stats.packets += 1;
         self.stats.blocks_received += blocks;
@@ -280,23 +244,20 @@ impl<T: Transport> OmniAggregator<T> {
                 blocks,
             );
         }
-        let slot = self.slots[g]
-            .as_mut()
-            .unwrap_or_else(|| panic!("stream {g} not owned by shard"));
         for entry in &p.entries {
             let (col, next) = decode_next(entry.next, width);
-            let cs = slot.cols[col]
-                .as_mut()
-                .expect("data entry for invalid column");
             if !entry.data.is_empty() {
-                debug_assert_eq!(entry.block, cs.cur, "entry for wrong block");
-                debug_assert!(!cs.acc.has_contrib(p.wid as usize), "double contribution");
-                if !cs.acc.touched() {
+                debug_assert_eq!(entry.block, self.table.cur(g, col), "entry for wrong block");
+                let acc = self.accs[g * width + col]
+                    .as_mut()
+                    .expect("data entry for a column this shard does not hold");
+                debug_assert!(!acc.has_contrib(p.wid as usize), "double contribution");
+                if !acc.touched() {
                     // First contribution claims the column's slot.
                     self.flight.record(
                         FlightEventKind::SlotOccupy,
                         0,
-                        cs.cur as u64,
+                        entry.block as u64,
                         self.shard as u16,
                         p.wid,
                         col as u64,
@@ -304,32 +265,19 @@ impl<T: Transport> OmniAggregator<T> {
                 }
                 // Copy into the accumulator's persistent buffers (no
                 // per-block allocation; vectorized reduction kernel).
-                cs.acc.store(p.wid as usize, &entry.data);
+                acc.store(p.wid as usize, &entry.data);
             }
-            cs.next_of[p.wid as usize] = if next == INFINITY_BLOCK {
-                INFINITY_BLOCK as i64
-            } else {
-                next as i64
-            };
+            self.table.announce(g, col, p.wid as usize, next);
         }
-        self.check_completion(g)
+        self.complete_row(g)
     }
 
-    /// If every active column of stream `g` is complete, emit the result
-    /// and advance the slot.
-    fn check_completion(&mut self, g: usize) -> Result<(), TransportError> {
-        let width = self.layout.width();
-        let slot = self.slots[g].as_mut().expect("owned stream");
-        let all_complete = slot
-            .cols
-            .iter()
-            .flatten()
-            .filter(|c| c.active())
-            .all(|c| c.complete());
-        // `all` on an empty iterator is true — guard: nothing to do if no
-        // column is active (stream fully finished, awaiting next round).
-        let any_active = slot.cols.iter().flatten().any(|c| c.active());
-        if !any_active || !all_complete {
+    /// If every active column of stream `g` is complete, multicast the
+    /// aggregated row with the new per-column requests.
+    fn complete_row(&mut self, g: usize) -> Result<(), TransportError> {
+        let width = self.cfg.fusion;
+        let outcome = self.table.complete_row(g, &mut self.row);
+        if outcome == Row::Pending {
             return Ok(());
         }
 
@@ -338,92 +286,38 @@ impl<T: Transport> OmniAggregator<T> {
         // to them right after the multicast, so the steady state
         // allocates nothing.
         let mut entries = self.pool.checkout_entries();
-        let mut all_done = true;
-        for (col, cs) in slot.cols.iter_mut().enumerate() {
-            let Some(cs) = cs else { continue };
-            if !cs.active() {
-                continue;
-            }
-            let min_next = cs.min_next().expect("complete implies announced");
-            debug_assert!(cs.acc.touched(), "completed block with no data");
+        for r in &self.row {
+            let acc = self.accs[g * width + r.col]
+                .as_mut()
+                .expect("completed column has an accumulator");
             let mut data = self.pool.checkout_f32();
-            cs.acc.take_into(&mut data);
-            entries.push(Entry::data(cs.cur, encode_next(min_next, col, width), data));
-            cs.cur = min_next; // INFINITY_BLOCK deactivates the column
-            if min_next != INFINITY_BLOCK {
-                all_done = false;
-            }
+            acc.take_into(&mut data);
+            entries.push(Entry::data(
+                r.block,
+                encode_next(r.next, r.col, width),
+                data,
+            ));
         }
+        let first_block = self.row[0].block as u64;
+        let row_len = self.row.len() as u64;
 
-        let msg = Message::Block(Packet {
-            kind: PacketKind::Result,
-            ver: 0,
-            slot: g as u16,
-            stream: self.cfg.stream_id,
-            wid: u16::MAX,
-            epoch: 0,
-            entries,
-        });
-        self.workers_scratch.clear();
-        for w in 0..self.cfg.num_workers {
-            if !self.departed[w] {
-                self.workers_scratch.push(NodeId(self.cfg.worker_node(w)));
-            }
-        }
         self.stats.results_sent += 1;
         self.stats.slots_completed += 1;
         self.counters.results_sent.inc();
         self.counters.slots_completed.inc();
-        if let Message::Block(pkt) = &msg {
-            if let Some(first) = pkt.entries.first() {
-                self.flight.record(
-                    FlightEventKind::SlotRelease,
-                    0,
-                    first.block as u64,
-                    self.shard as u16,
-                    0,
-                    pkt.entries.len() as u64,
-                );
-                self.flight.record(
-                    FlightEventKind::ResultTx,
-                    0,
-                    first.block as u64,
-                    self.shard as u16,
-                    0,
-                    pkt.entries.len() as u64,
-                );
-            }
+        for kind in [FlightEventKind::SlotRelease, FlightEventKind::ResultTx] {
+            self.flight
+                .record(kind, 0, first_block, self.shard as u16, 0, row_len);
         }
-        for w in &self.workers_scratch {
-            crate::wire::send_best_effort(&self.transport, *w, &msg)?;
-        }
-        // Transports borrow `&Message`: we still own it, so its buffers
-        // go back to the freelists for the next completion.
-        self.pool.recycle_message(msg);
+        self.fanout
+            .multicast(&self.transport, &self.cfg, &mut self.pool, g, entries)?;
 
-        if all_done {
-            // Round over for this stream: reset for the next tensor
-            // (Algorithm 1 line 26) — in place, keeping every buffer.
-            let layout = self.layout;
-            let slot = self.slots[g].as_mut().expect("owned stream");
-            for (c, cs) in slot.cols.iter_mut().enumerate() {
-                if let Some(cs) = cs {
-                    cs.reset(layout.first_block(g, c).expect("valid column"));
-                }
-            }
-            // Round bookkeeping: when the last open stream of this round
-            // resets, a full AllReduce has been served.
-            self.streams_open_this_round -= 1;
-            if self.streams_open_this_round == 0 {
-                self.stats.rounds_completed += 1;
-                self.counters.rounds_completed.inc();
-                self.streams_open_this_round = (0..layout.total_streams())
-                    .filter(|g| {
-                        self.cfg.shard_of_stream(*g) == self.shard
-                            && layout.first_block(*g, 0).is_some()
-                    })
-                    .count();
-            }
+        // The table re-armed the finished stream in place (Algorithm 1
+        // line 26); when the shard's last open stream resets, a full
+        // AllReduce has been served.
+        if outcome == Row::RoundDone {
+            self.stats.rounds_completed += 1;
+            self.counters.rounds_completed.inc();
         }
         Ok(())
     }

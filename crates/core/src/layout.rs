@@ -17,7 +17,7 @@
 use omnireduce_tensor::{BlockIdx, BlockSpec, NonZeroBitmap, INFINITY_BLOCK};
 
 /// Geometry of streams × columns over a tensor's blocks.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StreamLayout {
     spec: BlockSpec,
     width: usize,

@@ -13,14 +13,14 @@
 //! fused row, preserving the same interleaving at row granularity.
 //! [`ShardMap`] makes the mapping first-class and testable.
 //!
-//! * [`ShardedWorker`] runs Algorithm 1 with **one transport lane and
-//!   one set of next-nonzero-block cursors per shard**, instead of one
-//!   multiplexed connection. Lanes are polled fairly; per-shard traffic
-//!   counters feed the wire-byte differential suite.
-//! * [`ShardJoin`] is the explicit completion join: a round finishes
-//!   when every shard's streams have finished, and a shard owning no
-//!   blocks (possible for short tensors) completes immediately rather
-//!   than wedging the round.
+//! * Sharding adds no worker engine: a sharded worker is the ordinary
+//!   [`OmniWorker`] (or [`RecoveryWorker`]) over a
+//!   [`omnireduce_transport::ShardBond`] — **one transport lane per
+//!   shard** behind one `Transport`, polled fairly. The engines keep
+//!   their traffic counters per shard, which feeds the wire-byte
+//!   differential suite; a round finishes when every stream has, and a
+//!   shard owning no blocks (possible for short tensors) owns no stream,
+//!   so it is never waited on.
 //! * [`ShardedAllReduce`] deploys the whole group — N aggregator
 //!   engines and M workers on real OS threads — for the lossless and
 //!   the Algorithm 2 recovery engines, with optional per-shard fault
@@ -36,27 +36,20 @@
 //! across seeded interleavings (DESIGN §10).
 
 use std::thread;
-use std::time::Duration;
 
-use omnireduce_tensor::{BlockIdx, NonZeroBitmap, Tensor, INFINITY_BLOCK};
+use omnireduce_tensor::{BlockIdx, Tensor};
 use omnireduce_transport::{
-    codec, BufferPool, Entry, FaultPlan, Message, NodeId, Packet, PacketKind, ShardedChannelMesh,
-    ShardedChaosMesh, Transport, TransportError,
+    FaultPlan, ShardBond, ShardedChannelMesh, ShardedChaosMesh, Transport, TransportError,
 };
 
-use omnireduce_telemetry::{Counter, FlightEventKind, FlightLane, LaneRole, Telemetry, NO_BLOCK};
+use omnireduce_telemetry::Telemetry;
 
 use crate::aggregator::{AggregatorStats, OmniAggregator};
 use crate::config::OmniConfig;
 use crate::error::ProtocolError;
 use crate::layout::StreamLayout;
 use crate::recovery::{RecoveryAggregator, RecoveryAggregatorStats, RecoveryStats, RecoveryWorker};
-use crate::wire::{decode_next, encode_next};
-use crate::worker::WorkerStats;
-
-/// How long one lane is polled before rotating while waiting for
-/// results (mirrors the bond's fairness slice).
-const LANE_POLL: Duration = Duration::from_micros(200);
+use crate::worker::{OmniWorker, WorkerStats};
 
 /// The block → shard assignment induced by the stream geometry.
 #[derive(Debug, Clone, Copy)]
@@ -132,404 +125,6 @@ impl ShardMap {
     }
 }
 
-/// What one stream completion did to the join state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct JoinEvent {
-    /// The shard the completed stream belongs to.
-    pub shard: usize,
-    /// This completion finished the shard.
-    pub shard_done: bool,
-    /// This completion finished the round (every shard done).
-    pub round_done: bool,
-}
-
-/// Per-shard completion join: tracks how many active streams each shard
-/// still owes, and when the whole round is complete.
-///
-/// A shard with zero active streams is born complete — the empty-shard
-/// edge case: the round must not wait for an aggregator that will never
-/// send anything.
-#[derive(Debug, Clone)]
-pub struct ShardJoin {
-    map: ShardMap,
-    /// Active streams not yet complete, per shard.
-    open: Vec<usize>,
-    /// Shards with `open > 0`.
-    open_shards: usize,
-}
-
-impl ShardJoin {
-    /// Builds the join for one round over `map`.
-    pub fn new(map: ShardMap) -> Self {
-        let open: Vec<usize> = (0..map.num_shards())
-            .map(|s| map.active_streams_of(s))
-            .collect();
-        let open_shards = open.iter().filter(|&&n| n > 0).count();
-        ShardJoin {
-            map,
-            open,
-            open_shards,
-        }
-    }
-
-    /// Streams shard `s` still owes this round.
-    pub fn open_streams(&self, s: usize) -> usize {
-        self.open[s]
-    }
-
-    /// True when shard `s` has completed (including born-empty shards).
-    pub fn shard_done(&self, s: usize) -> bool {
-        self.open[s] == 0
-    }
-
-    /// True when every shard has completed.
-    pub fn round_done(&self) -> bool {
-        self.open_shards == 0
-    }
-
-    /// Records stream `g` completing and reports what that did.
-    ///
-    /// # Panics
-    /// Panics when `g`'s shard has no open streams left — a
-    /// double-completion is a protocol bug, not a race to paper over.
-    pub fn on_stream_complete(&mut self, g: usize) -> JoinEvent {
-        let shard = self.map.shard_of_stream(g);
-        assert!(
-            self.open[shard] > 0,
-            "stream {g} completed but shard {shard} has no open streams"
-        );
-        self.open[shard] -= 1;
-        let shard_done = self.open[shard] == 0;
-        if shard_done {
-            self.open_shards -= 1;
-        }
-        JoinEvent {
-            shard,
-            shard_done,
-            round_done: self.open_shards == 0,
-        }
-    }
-}
-
-/// Per-column protocol state within one stream (the per-shard
-/// next-nonzero-block cursor lives in `my_next`).
-struct ColState {
-    my_next: BlockIdx,
-    done: bool,
-}
-
-/// Per-stream protocol state.
-struct StreamState {
-    cols: Vec<Option<ColState>>,
-    remaining: usize,
-}
-
-/// Algorithm 1 worker with one transport lane per aggregator shard.
-///
-/// Protocol-identical to [`crate::worker::OmniWorker`] — the same
-/// packets flow to the same aggregators — but the transport is split:
-/// stream `g`'s traffic rides lane `shard_of_stream(g)`, receives poll
-/// the lanes fairly, and traffic counters are kept **per shard** so the
-/// differential suite can check each shard's wire bytes independently.
-pub struct ShardedWorker<T: Transport> {
-    lanes: Vec<T>,
-    cfg: OmniConfig,
-    layout: StreamLayout,
-    map: ShardMap,
-    wid: u16,
-    /// Per-shard traffic counters; `stats()` aggregates them.
-    shard_stats: Vec<WorkerStats>,
-    rounds: u64,
-    /// Fair-poll rotation over lanes.
-    cursor: usize,
-    pool: BufferPool,
-    /// Protocol flight lane (no-op unless the registry's flight
-    /// recorder is enabled).
-    flight: FlightLane,
-    /// `core.shard.shutdown_errors`: goodbye sends that failed during
-    /// wind-down (attempted on every lane regardless).
-    shutdown_errors: Counter,
-}
-
-impl<T: Transport> ShardedWorker<T> {
-    /// Creates the engine from one lane per shard (index = shard). All
-    /// lanes must agree on the local worker id.
-    pub fn new(lanes: Vec<T>, cfg: OmniConfig) -> Self {
-        cfg.validate();
-        assert_eq!(
-            lanes.len(),
-            cfg.num_aggregators,
-            "one lane per aggregator shard"
-        );
-        let wid = lanes[0].local_id().0;
-        for l in &lanes {
-            assert_eq!(l.local_id().0, wid, "lanes must share the worker id");
-        }
-        assert!(
-            (wid as usize) < cfg.num_workers,
-            "transport node {wid} is not a worker"
-        );
-        let map = ShardMap::new(&cfg);
-        let layout = *map.layout();
-        let pool = BufferPool::for_block_size(cfg.block_size);
-        ShardedWorker {
-            shard_stats: vec![WorkerStats::default(); lanes.len()],
-            lanes,
-            cfg,
-            layout,
-            map,
-            wid,
-            rounds: 0,
-            cursor: 0,
-            pool,
-            flight: FlightLane::disabled(),
-            shutdown_errors: Counter::detached(),
-        }
-    }
-
-    /// Like [`ShardedWorker::new`], but records protocol flight events
-    /// on a `worker{wid}` lane when `telemetry`'s flight recorder is
-    /// enabled. Events carry the destination shard, so the reconstructor
-    /// attributes wire time per shard.
-    pub fn with_telemetry(lanes: Vec<T>, cfg: OmniConfig, telemetry: &Telemetry) -> Self {
-        let mut w = Self::new(lanes, cfg);
-        w.flight = telemetry
-            .flight()
-            .lane(&format!("worker{}", w.wid), LaneRole::Worker, w.wid);
-        w.shutdown_errors = telemetry.counter("core.shard.shutdown_errors");
-        w
-    }
-
-    /// This worker's id.
-    pub fn wid(&self) -> u16 {
-        self.wid
-    }
-
-    /// Aggregate traffic counters across all shards.
-    pub fn stats(&self) -> WorkerStats {
-        let mut total = WorkerStats {
-            rounds_completed: self.rounds,
-            ..WorkerStats::default()
-        };
-        for s in &self.shard_stats {
-            total.packets_sent += s.packets_sent;
-            total.bytes_sent += s.bytes_sent;
-            total.blocks_sent += s.blocks_sent;
-            total.results_received += s.results_received;
-        }
-        total
-    }
-
-    /// Per-shard traffic counters (index = shard).
-    pub fn shard_stats(&self) -> &[WorkerStats] {
-        &self.shard_stats
-    }
-
-    /// Wire bytes sent to each shard (index = shard).
-    pub fn shard_bytes(&self) -> Vec<u64> {
-        self.shard_stats.iter().map(|s| s.bytes_sent).collect()
-    }
-
-    /// Runs one AllReduce: on return, `tensor` holds the element-wise
-    /// sum across all workers, joined across every shard.
-    pub fn allreduce(&mut self, tensor: &mut Tensor) -> Result<(), TransportError> {
-        assert_eq!(
-            tensor.len(),
-            self.cfg.tensor_len,
-            "tensor length does not match group config"
-        );
-        let round = self.rounds as u32;
-        self.flight
-            .record(FlightEventKind::RoundStart, round, NO_BLOCK, 0, self.wid, 0);
-        let encode_t0 = self.flight.now_ns();
-        let bitmap = NonZeroBitmap::build(tensor, self.cfg.block_spec());
-        let skip = self.cfg.skip_zero_blocks;
-        let layout = self.layout;
-
-        let mut streams: Vec<Option<StreamState>> =
-            (0..layout.total_streams()).map(|_| None).collect();
-        let mut join = ShardJoin::new(self.map);
-        for g in layout.active_streams() {
-            let mut cols: Vec<Option<ColState>> = Vec::with_capacity(layout.width());
-            let mut entries = self.pool.checkout_entries();
-            let mut remaining = 0usize;
-            for c in 0..layout.width() {
-                match layout.first_block(g, c) {
-                    Some(b0) => {
-                        let my_next = layout.next_block(&bitmap, g, c, Some(b0), skip);
-                        let mut data = self.pool.checkout_f32();
-                        data.extend_from_slice(&tensor[layout.block_range(b0)]);
-                        entries.push(Entry::data(
-                            b0,
-                            encode_next(my_next, c, layout.width()),
-                            data,
-                        ));
-                        cols.push(Some(ColState {
-                            my_next,
-                            done: false,
-                        }));
-                        remaining += 1;
-                    }
-                    None => cols.push(None),
-                }
-            }
-            self.send_data(g, entries)?;
-            streams[g] = Some(StreamState { cols, remaining });
-        }
-        self.flight.record(
-            FlightEventKind::Encode,
-            round,
-            NO_BLOCK,
-            0,
-            self.wid,
-            self.flight.now_ns().saturating_sub(encode_t0),
-        );
-
-        while !join.round_done() {
-            let (shard, msg) = self.poll_lanes()?;
-            let packet = match msg {
-                Message::Block(p) if p.kind == PacketKind::Result => p,
-                other => panic!("sharded worker: unexpected message {:?}", other.tag()),
-            };
-            self.shard_stats[shard].results_received += 1;
-            self.flight.record(
-                FlightEventKind::ResultRx,
-                round,
-                NO_BLOCK,
-                shard as u16,
-                self.wid,
-                packet.entries.len() as u64,
-            );
-            let g = packet.slot as usize;
-            debug_assert_eq!(
-                self.map.shard_of_stream(g),
-                shard,
-                "result for stream {g} arrived on the wrong lane"
-            );
-            let state = streams[g].as_mut().expect("result for unknown stream");
-            let mut reply = self.pool.checkout_entries();
-            for entry in &packet.entries {
-                let (col, requested) = decode_next(entry.next, layout.width());
-                if !entry.data.is_empty() {
-                    tensor.copy_slice_at(layout.block_range(entry.block).start, &entry.data);
-                }
-                let cs = state.cols[col]
-                    .as_mut()
-                    .expect("result entry for invalid column");
-                if cs.done {
-                    continue;
-                }
-                if requested == INFINITY_BLOCK {
-                    cs.done = true;
-                    state.remaining -= 1;
-                    continue;
-                }
-                if cs.my_next == requested {
-                    let new_next = layout.next_block(&bitmap, g, col, Some(requested), skip);
-                    let mut data = self.pool.checkout_f32();
-                    data.extend_from_slice(&tensor[layout.block_range(requested)]);
-                    reply.push(Entry::data(
-                        requested,
-                        encode_next(new_next, col, layout.width()),
-                        data,
-                    ));
-                    cs.my_next = new_next;
-                }
-            }
-            if !reply.is_empty() {
-                self.send_data(g, reply)?;
-            } else {
-                self.pool.checkin_entries(reply);
-            }
-            if state.remaining == 0 {
-                streams[g] = None;
-                join.on_stream_complete(g);
-            }
-        }
-        self.rounds += 1;
-        for s in &mut self.shard_stats {
-            s.rounds_completed += 1;
-        }
-        self.flight
-            .record(FlightEventKind::RoundEnd, round, NO_BLOCK, 0, self.wid, 0);
-        Ok(())
-    }
-
-    /// One fair polling sweep over the lanes, blocking until a message
-    /// arrives on any of them.
-    fn poll_lanes(&mut self) -> Result<(usize, Message), TransportError> {
-        let n = self.lanes.len();
-        loop {
-            for i in 0..n {
-                let lane = (self.cursor + i) % n;
-                if let Some((_, msg)) = self.lanes[lane].recv_timeout(LANE_POLL)? {
-                    self.cursor = (lane + 1) % n;
-                    return Ok((lane, msg));
-                }
-            }
-        }
-    }
-
-    fn send_data(&mut self, stream: usize, entries: Vec<Entry>) -> Result<(), TransportError> {
-        let blocks = entries.iter().filter(|e| !e.is_ack()).count() as u64;
-        let msg = Message::Block(Packet {
-            kind: PacketKind::Data,
-            ver: 0,
-            slot: stream as u16,
-            stream: self.cfg.stream_id,
-            wid: self.wid,
-            epoch: 0,
-            entries,
-        });
-        let wire_bytes = codec::encoded_len(&msg) as u64;
-        let shard = self.map.shard_of_stream(stream);
-        let st = &mut self.shard_stats[shard];
-        st.packets_sent += 1;
-        st.blocks_sent += blocks;
-        st.bytes_sent += wire_bytes;
-        // One flight event per fused message, keyed by the first entry's
-        // block — mirrored by the aggregator's PacketRx for pairing.
-        if let Message::Block(p) = &msg {
-            if let Some(first) = p.entries.first() {
-                self.flight.record(
-                    FlightEventKind::PacketTx,
-                    self.rounds as u32,
-                    first.block as u64,
-                    shard as u16,
-                    self.wid,
-                    wire_bytes,
-                );
-            }
-        }
-        let sent = self.lanes[shard].send(NodeId(self.cfg.aggregator_node(shard)), &msg);
-        self.pool.recycle_message(msg);
-        sent
-    }
-
-    /// Says goodbye to every shard's aggregator on its own lane.
-    ///
-    /// Wind-down is symmetric across lanes: a dead shard must not keep
-    /// the goodbye from reaching the surviving shards, so every lane is
-    /// attempted even after a failure. Failed goodbyes are counted in
-    /// `core.shard.shutdown_errors` and the first error is returned
-    /// once all lanes have been tried.
-    pub fn shutdown(self) -> Result<(), TransportError> {
-        let mut first_err = None;
-        for (s, lane) in self.lanes.iter().enumerate() {
-            if let Err(e) = lane.send(NodeId(self.cfg.aggregator_node(s)), &Message::Shutdown) {
-                self.shutdown_errors.inc();
-                if first_err.is_none() {
-                    first_err = Some(e);
-                }
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-}
-
 /// Result of a sharded lossless deployment.
 pub struct ShardedRunResult {
     /// `outputs[w][r]` = worker `w`'s tensor after round `r`.
@@ -592,11 +187,11 @@ impl ShardedAllReduce {
     /// Panics when shapes don't match the config or any thread fails.
     pub fn run(cfg: &OmniConfig, inputs: Vec<Vec<Tensor>>) -> ShardedRunResult {
         let mut mesh = ShardedChannelMesh::new(cfg.num_workers, cfg.num_aggregators);
-        let lanes = (0..cfg.num_workers).map(|w| mesh.worker_lanes(w)).collect();
+        let bonds = (0..cfg.num_workers).map(|w| mesh.worker_bond(w)).collect();
         let aggs = (0..cfg.num_aggregators)
             .map(|s| mesh.aggregator_endpoint(s))
             .collect();
-        Self::run_lossless_over(cfg, inputs, lanes, aggs, None)
+        Self::run_lossless_over(cfg, inputs, bonds, aggs, None)
     }
 
     /// Like [`ShardedAllReduce::run`], but attaches every engine to
@@ -608,11 +203,11 @@ impl ShardedAllReduce {
         telemetry: &Telemetry,
     ) -> ShardedRunResult {
         let mut mesh = ShardedChannelMesh::new(cfg.num_workers, cfg.num_aggregators);
-        let lanes = (0..cfg.num_workers).map(|w| mesh.worker_lanes(w)).collect();
+        let bonds = (0..cfg.num_workers).map(|w| mesh.worker_bond(w)).collect();
         let aggs = (0..cfg.num_aggregators)
             .map(|s| mesh.aggregator_endpoint(s))
             .collect();
-        Self::run_lossless_over(cfg, inputs, lanes, aggs, Some(telemetry))
+        Self::run_lossless_over(cfg, inputs, bonds, aggs, Some(telemetry))
     }
 
     /// Like [`ShardedAllReduce::run`], but wraps shard `s`'s mesh in
@@ -626,17 +221,17 @@ impl ShardedAllReduce {
     ) -> ShardedRunResult {
         assert_eq!(plans.len(), cfg.num_aggregators, "one plan per shard");
         let mut mesh = ShardedChaosMesh::wrap(cfg.num_workers, plans);
-        let lanes = (0..cfg.num_workers).map(|w| mesh.worker_lanes(w)).collect();
+        let bonds = (0..cfg.num_workers).map(|w| mesh.worker_bond(w)).collect();
         let aggs = (0..cfg.num_aggregators)
             .map(|s| mesh.aggregator_endpoint(s))
             .collect();
-        Self::run_lossless_over(cfg, inputs, lanes, aggs, None)
+        Self::run_lossless_over(cfg, inputs, bonds, aggs, None)
     }
 
     fn run_lossless_over<T: Transport + 'static>(
         cfg: &OmniConfig,
         inputs: Vec<Vec<Tensor>>,
-        worker_lanes: Vec<Vec<T>>,
+        worker_bonds: Vec<ShardBond<T>>,
         agg_endpoints: Vec<T>,
         telemetry: Option<&Telemetry>,
     ) -> ShardedRunResult {
@@ -666,7 +261,7 @@ impl ShardedAllReduce {
         }
 
         let mut worker_handles = Vec::new();
-        for (w, (lanes, tensors)) in worker_lanes.into_iter().zip(inputs).enumerate() {
+        for (w, (bond, tensors)) in worker_bonds.into_iter().zip(inputs).enumerate() {
             let cfg = cfg.clone();
             let telemetry = telemetry.cloned();
             worker_handles.push(
@@ -674,8 +269,8 @@ impl ShardedAllReduce {
                     .name(format!("sharded-worker{w}"))
                     .spawn(move || {
                         let mut worker = match &telemetry {
-                            Some(tl) => ShardedWorker::with_telemetry(lanes, cfg, tl),
-                            None => ShardedWorker::new(lanes, cfg),
+                            Some(tl) => OmniWorker::with_telemetry(bond, cfg, tl),
+                            None => OmniWorker::new(bond, cfg),
                         };
                         let mut outs = Vec::with_capacity(tensors.len());
                         let mut failure = None;
@@ -995,55 +590,6 @@ mod tests {
             let g = map.layout().stream_of(b);
             assert_eq!(map.shard_of_block(b), map.shard_of_stream(g));
         }
-    }
-
-    #[test]
-    fn join_completes_round_only_after_every_shard() {
-        let c = cfg(2, 256, 2);
-        let map = ShardMap::new(&c);
-        let mut join = ShardJoin::new(map);
-        assert!(!join.round_done());
-        let active: Vec<usize> = map.layout().active_streams().collect();
-        for (i, &g) in active.iter().enumerate() {
-            let ev = join.on_stream_complete(g);
-            assert_eq!(ev.round_done, i + 1 == active.len());
-        }
-        assert!(join.round_done());
-    }
-
-    #[test]
-    fn join_reports_empty_shards_complete_at_birth() {
-        // 2 shards × 2 streams/shard × width 1 × block 4 = rows of 4
-        // blocks; a 17-element tensor has 5 blocks → streams 0..4 get
-        // one block each via round-robin... shrink further: 1 block
-        // total → only stream 0 (shard 0) active; shard 1 empty.
-        let c = OmniConfig::new(2, 4)
-            .with_block_size(4)
-            .with_fusion(1)
-            .with_streams(1)
-            .with_aggregators(2);
-        let map = ShardMap::new(&c);
-        assert!(!map.is_empty(0));
-        assert!(map.is_empty(1));
-        let mut join = ShardJoin::new(map);
-        assert!(join.shard_done(1), "empty shard must be born complete");
-        assert!(!join.round_done());
-        let ev = join.on_stream_complete(0);
-        assert!(ev.shard_done && ev.round_done);
-    }
-
-    #[test]
-    #[should_panic(expected = "no open streams")]
-    fn join_panics_on_double_completion() {
-        let c = cfg(2, 256, 2);
-        let map = ShardMap::new(&c);
-        let mut join = ShardJoin::new(map);
-        let g = map.layout().active_streams().next().unwrap();
-        let n = map.active_streams_of(map.shard_of_stream(g));
-        for _ in 0..n {
-            join.on_stream_complete(g);
-        }
-        join.on_stream_complete(g); // one too many
     }
 
     #[test]

@@ -2,14 +2,17 @@
 //! the benchmark harness to reproduce the paper's figures on simulated
 //! 10/100 Gbps fabrics.
 //!
-//! The actors run the *same protocol* as the executable engines
-//! ([`crate::worker`], [`crate::aggregator`]): real per-column lookahead
-//! over the workers' actual non-zero bitmaps, real fused packets, real
-//! min-next coordination. Only the tensor payload is elided — packets
-//! carry block indices and the simulator charges them their exact encoded
-//! byte size ([`omnireduce_transport::codec`] constants), so the timing
-//! reflects true protocol behaviour including partial overlap between
-//! workers (§6.4.2) and the extra round trips it causes.
+//! The actors drive the *same state machines* as the executable engines
+//! ([`crate::worker`], [`crate::aggregator`]) —
+//! [`crate::protocol::WorkerRound`] and [`crate::protocol::SlotTable`]:
+//! real per-column lookahead over the workers' actual non-zero bitmaps,
+//! real fused packets, real min-next coordination. Only the tensor payload
+//! is elided — packets carry block indices and the simulator charges them
+//! their exact encoded byte size ([`omnireduce_transport::codec`]
+//! constants), so the timing reflects true protocol behaviour including
+//! partial overlap between workers (§6.4.2) and the extra round trips it
+//! causes, and every shard receives byte for byte what the executable
+//! engines send it.
 //!
 //! Topology knobs cover the paper's deployment modes:
 //!
@@ -27,11 +30,13 @@ use omnireduce_simnet::{
     ActorId, Bandwidth, Ctx, NicConfig, Process, RunReport, SimTime, Simulator, Topology,
 };
 use omnireduce_telemetry::{Counter, FlightEventKind, FlightLane, LaneRole, Telemetry, NO_BLOCK};
-use omnireduce_tensor::{BlockIdx, NonZeroBitmap, INFINITY_BLOCK};
+use omnireduce_tensor::{BlockIdx, NonZeroBitmap};
 use omnireduce_transport::codec::ENTRY_HEADER_BYTES;
 
 use crate::config::OmniConfig;
 use crate::layout::StreamLayout;
+use crate::protocol::{ColEntry, Row, SlotTable, WorkerRound};
+use crate::shard::ShardMap;
 
 /// One fused entry in a simulated packet.
 #[derive(Debug, Clone, Copy)]
@@ -65,6 +70,18 @@ pub enum SimMsg {
         /// Fused entries (per active column).
         entries: Vec<SimEntry>,
     },
+}
+
+impl SimEntry {
+    /// A protocol entry with its payload reduced to a value count.
+    fn sized(layout: &StreamLayout, e: &ColEntry) -> SimEntry {
+        SimEntry {
+            block: e.block,
+            col: e.col,
+            next: e.next,
+            values: layout.block_range(e.block).len(),
+        }
+    }
 }
 
 fn msg_bytes(stream_id: u16, entries: &[SimEntry]) -> usize {
@@ -143,7 +160,7 @@ impl SimSpec {
 }
 
 /// `core.sim.worker.*` counter handles shared by every worker actor.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 struct SimWorkerCounters {
     packets_sent: Counter,
     bytes_sent: Counter,
@@ -160,18 +177,13 @@ impl SimWorkerCounters {
                 results_received: t.counter("core.sim.worker.results_received"),
                 rounds_completed: t.counter("core.sim.worker.rounds_completed"),
             },
-            None => SimWorkerCounters {
-                packets_sent: Counter::detached(),
-                bytes_sent: Counter::detached(),
-                results_received: Counter::detached(),
-                rounds_completed: Counter::detached(),
-            },
+            None => SimWorkerCounters::default(),
         }
     }
 }
 
 /// `core.sim.aggregator.*` counter handles shared by every shard actor.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 struct SimAggCounters {
     packets_received: Counter,
     results_sent: Counter,
@@ -188,27 +200,13 @@ impl SimAggCounters {
                 bytes_sent: t.counter("core.sim.aggregator.bytes_sent"),
                 slots_completed: t.counter("core.sim.aggregator.slots_completed"),
             },
-            None => SimAggCounters {
-                packets_received: Counter::detached(),
-                results_sent: Counter::detached(),
-                bytes_sent: Counter::detached(),
-                slots_completed: Counter::detached(),
-            },
+            None => SimAggCounters::default(),
         }
     }
 }
 
-struct WCol {
-    my_next: BlockIdx,
-    done: bool,
-}
-
-struct WStream {
-    cols: Vec<Option<WCol>>,
-    remaining: usize,
-}
-
-/// Worker actor: mirrors [`crate::worker::OmniWorker`].
+/// Worker actor: drives [`WorkerRound`] like
+/// [`crate::worker::OmniWorker`], with a byte count for a payload.
 struct WorkerActor {
     cfg: OmniConfig,
     layout: StreamLayout,
@@ -216,8 +214,7 @@ struct WorkerActor {
     bitmap: Arc<NonZeroBitmap>,
     /// Actor ids of the shards, indexed by shard number.
     shards: Vec<ActorId>,
-    streams: Vec<Option<WStream>>,
-    pending: usize,
+    round: WorkerRound,
     counters: SimWorkerCounters,
     /// Flight lane recording simulated-time protocol events
     /// (`record_at` with sim ns — never the wall clock).
@@ -252,6 +249,24 @@ impl WorkerActor {
             bytes,
         );
     }
+
+    /// Halts the actor once every stream has completed.
+    fn finish_if_done(&self, ctx: &mut Ctx<SimMsg>) {
+        if !self.round.round_done() {
+            return;
+        }
+        self.counters.rounds_completed.inc();
+        self.flight.record_at(
+            ctx.now().as_nanos(),
+            FlightEventKind::RoundEnd,
+            0,
+            NO_BLOCK,
+            0,
+            self.wid as u16,
+            0,
+        );
+        ctx.halt();
+    }
 }
 
 impl Process<SimMsg> for WorkerActor {
@@ -266,48 +281,14 @@ impl Process<SimMsg> for WorkerActor {
             0,
         );
         let layout = self.layout;
-        let skip = self.cfg.skip_zero_blocks;
-        self.streams = (0..layout.total_streams()).map(|_| None).collect();
         for g in layout.active_streams() {
-            let mut cols: Vec<Option<WCol>> = Vec::with_capacity(layout.width());
             let mut entries = Vec::with_capacity(layout.width());
-            let mut remaining = 0;
-            for c in 0..layout.width() {
-                match layout.first_block(g, c) {
-                    Some(b0) => {
-                        let my_next = layout.next_block(&self.bitmap, g, c, Some(b0), skip);
-                        entries.push(SimEntry {
-                            block: b0,
-                            col: c,
-                            next: my_next,
-                            values: layout.block_range(b0).len(),
-                        });
-                        cols.push(Some(WCol {
-                            my_next,
-                            done: false,
-                        }));
-                        remaining += 1;
-                    }
-                    None => cols.push(None),
-                }
-            }
+            self.round.open_stream(&self.bitmap, g, |s| {
+                entries.push(SimEntry::sized(&layout, &s))
+            });
             self.send_data(ctx, g, entries);
-            self.streams[g] = Some(WStream { cols, remaining });
-            self.pending += 1;
         }
-        if self.pending == 0 {
-            self.counters.rounds_completed.inc();
-            self.flight.record_at(
-                ctx.now().as_nanos(),
-                FlightEventKind::RoundEnd,
-                0,
-                NO_BLOCK,
-                0,
-                self.wid as u16,
-                0,
-            );
-            ctx.halt();
-        }
+        self.finish_if_done(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<SimMsg>, _from: ActorId, msg: SimMsg) {
@@ -324,98 +305,30 @@ impl Process<SimMsg> for WorkerActor {
             self.wid as u16,
             entries.len() as u64,
         );
-        let layout = self.layout;
-        let skip = self.cfg.skip_zero_blocks;
-        let state = self.streams[g].as_mut().expect("unknown stream");
         let mut reply = Vec::with_capacity(entries.len());
         for e in &entries {
-            let cs = state.cols[e.col].as_mut().expect("invalid column");
-            if cs.done {
-                continue;
-            }
-            let requested = e.next;
-            if requested == INFINITY_BLOCK {
-                cs.done = true;
-                state.remaining -= 1;
-                continue;
-            }
-            if cs.my_next == requested {
-                let new_next = layout.next_block(&self.bitmap, g, e.col, Some(requested), skip);
-                reply.push(SimEntry {
-                    block: requested,
-                    col: e.col,
-                    next: new_next,
-                    values: layout.block_range(requested).len(),
-                });
-                cs.my_next = new_next;
+            if let Some(s) = self.round.on_result(&self.bitmap, g, e.col, e.next) {
+                reply.push(SimEntry::sized(&self.layout, &s));
             }
         }
-        let finished = state.remaining == 0;
         if !reply.is_empty() {
             self.send_data(ctx, g, reply);
         }
-        if finished {
-            self.streams[g] = None;
-            self.pending -= 1;
-            if self.pending == 0 {
-                self.counters.rounds_completed.inc();
-                self.flight.record_at(
-                    ctx.now().as_nanos(),
-                    FlightEventKind::RoundEnd,
-                    0,
-                    NO_BLOCK,
-                    0,
-                    self.wid as u16,
-                    0,
-                );
-                ctx.halt();
-            }
-        }
+        self.finish_if_done(ctx);
     }
 }
 
-const NEG_INF: i64 = -1;
-
-struct ACol {
-    cur: BlockIdx,
-    next_of: Vec<i64>,
-}
-
-impl ACol {
-    fn min_next(&self) -> Option<BlockIdx> {
-        let mut min = i64::MAX;
-        for n in &self.next_of {
-            if *n == NEG_INF {
-                return None;
-            }
-            min = min.min(*n);
-        }
-        Some(min as BlockIdx)
-    }
-
-    fn complete(&self) -> bool {
-        matches!(self.min_next(), Some(m) if (self.cur as i64) < m as i64)
-    }
-
-    fn active(&self) -> bool {
-        self.cur != INFINITY_BLOCK
-    }
-}
-
-struct ASlot {
-    cols: Vec<Option<ACol>>,
-}
-
-/// Aggregator shard actor: mirrors [`crate::aggregator::OmniAggregator`],
-/// serving exactly one AllReduce round and halting when every owned
-/// stream completes.
+/// Aggregator shard actor: drives [`SlotTable`] like
+/// [`crate::aggregator::OmniAggregator`], serving exactly one AllReduce
+/// round and halting when every owned stream completes.
 struct AggActor {
     cfg: OmniConfig,
     layout: StreamLayout,
     shard: usize,
     workers: Vec<ActorId>,
-    slots: Vec<Option<ASlot>>,
-    open_streams: usize,
+    table: SlotTable,
+    /// Completed-row scratch.
+    row: Vec<ColEntry>,
     counters: SimAggCounters,
     /// Flight lane recording simulated-time protocol events.
     flight: FlightLane,
@@ -423,24 +336,7 @@ struct AggActor {
 
 impl Process<SimMsg> for AggActor {
     fn on_start(&mut self, ctx: &mut Ctx<SimMsg>) {
-        let layout = self.layout;
-        self.slots = (0..layout.total_streams())
-            .map(|g| {
-                (self.cfg.shard_of_stream(g) == self.shard && layout.first_block(g, 0).is_some())
-                    .then(|| ASlot {
-                        cols: (0..layout.width())
-                            .map(|c| {
-                                layout.first_block(g, c).map(|b0| ACol {
-                                    cur: b0,
-                                    next_of: vec![NEG_INF; self.cfg.num_workers],
-                                })
-                            })
-                            .collect(),
-                    })
-            })
-            .collect();
-        self.open_streams = self.slots.iter().flatten().count();
-        if self.open_streams == 0 {
+        if self.table.active_streams() == 0 {
             ctx.halt();
         }
     }
@@ -468,59 +364,30 @@ impl Process<SimMsg> for AggActor {
                 entries.len() as u64,
             );
         }
-        let slot = self.slots[g].as_mut().expect("stream not owned");
         for e in &entries {
-            let cs = slot.cols[e.col].as_mut().expect("invalid column");
-            debug_assert_eq!(e.block, cs.cur);
-            cs.next_of[wid] = if e.next == INFINITY_BLOCK {
-                INFINITY_BLOCK as i64
-            } else {
-                e.next as i64
-            };
+            debug_assert_eq!(e.block, self.table.cur(g, e.col));
+            self.table.announce(g, e.col, wid, e.next);
         }
-        let all_complete = slot
-            .cols
-            .iter()
-            .flatten()
-            .filter(|c| c.active())
-            .all(|c| c.complete());
-        let any_active = slot.cols.iter().flatten().any(|c| c.active());
-        if !any_active || !all_complete {
+        let outcome = self.table.complete_row(g, &mut self.row);
+        if outcome == Row::Pending {
             return;
         }
-        let layout = self.layout;
-        let mut result = Vec::with_capacity(layout.width());
-        let mut all_done = true;
-        for (c, cs) in slot.cols.iter_mut().enumerate() {
-            let Some(cs) = cs else { continue };
-            if !cs.active() {
-                continue;
-            }
-            let min_next = cs.min_next().expect("complete implies announced");
-            result.push(SimEntry {
-                block: cs.cur,
-                col: c,
-                next: min_next,
-                values: layout.block_range(cs.cur).len(),
-            });
-            cs.cur = min_next;
-            if min_next != INFINITY_BLOCK {
-                all_done = false;
-            }
-        }
+        let result: Vec<SimEntry> = self
+            .row
+            .iter()
+            .map(|r| SimEntry::sized(&self.layout, r))
+            .collect();
         let bytes = msg_bytes(self.cfg.stream_id, &result);
         self.counters.slots_completed.inc();
-        if let Some(first) = result.first() {
-            self.flight.record_at(
-                ctx.now().as_nanos(),
-                FlightEventKind::ResultTx,
-                0,
-                first.block as u64,
-                self.shard as u16,
-                u16::MAX,
-                result.len() as u64,
-            );
-        }
+        self.flight.record_at(
+            ctx.now().as_nanos(),
+            FlightEventKind::ResultTx,
+            0,
+            result[0].block as u64,
+            self.shard as u16,
+            u16::MAX,
+            result.len() as u64,
+        );
         for w in &self.workers {
             self.counters.results_sent.inc();
             self.counters.bytes_sent.add(bytes as u64);
@@ -533,12 +400,8 @@ impl Process<SimMsg> for AggActor {
                 bytes,
             );
         }
-        if all_done {
-            self.slots[g] = None;
-            self.open_streams -= 1;
-            if self.open_streams == 0 {
-                ctx.halt();
-            }
+        if outcome == Row::RoundDone {
+            ctx.halt();
         }
     }
 }
@@ -575,12 +438,8 @@ pub fn simulate_allreduce(spec: &SimSpec, bitmaps: &[NonZeroBitmap]) -> SimOutco
     let cfg = &spec.cfg;
     cfg.validate();
     assert_eq!(bitmaps.len(), cfg.num_workers, "one bitmap per worker");
-    let layout = StreamLayout::new(
-        cfg.block_spec(),
-        cfg.fusion,
-        cfg.total_streams(),
-        cfg.tensor_len,
-    );
+    let map = ShardMap::new(cfg);
+    let layout = *map.layout();
     for bm in bitmaps {
         assert_eq!(bm.block_count(), layout.nblocks(), "bitmap size mismatch");
     }
@@ -637,8 +496,7 @@ pub fn simulate_allreduce(spec: &SimSpec, bitmaps: &[NonZeroBitmap]) -> SimOutco
                 wid: w,
                 bitmap: Arc::new(bm.clone()),
                 shards: shard_ids.clone(),
-                streams: Vec::new(),
-                pending: 0,
+                round: WorkerRound::new(layout, cfg.skip_zero_blocks),
                 counters: worker_counters.clone(),
                 flight: flight_lane(&format!("worker{w}"), LaneRole::Worker, w as u16),
             }),
@@ -652,8 +510,8 @@ pub fn simulate_allreduce(spec: &SimSpec, bitmaps: &[NonZeroBitmap]) -> SimOutco
                 layout,
                 shard: a,
                 workers: worker_ids.clone(),
-                slots: Vec::new(),
-                open_streams: 0,
+                table: SlotTable::new(layout, map.streams_of(a), cfg.num_workers),
+                row: Vec::new(),
                 counters: agg_counters.clone(),
                 flight: flight_lane(&format!("agg{a}"), LaneRole::Aggregator, a as u16),
             }),

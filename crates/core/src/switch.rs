@@ -21,18 +21,20 @@
 //!
 //! [`SwitchAggregator`] is a drop-in replacement for
 //! [`crate::aggregator::OmniAggregator`] over any reliable transport: same
-//! wire protocol, switch-constrained internals. Results it produces are
+//! wire protocol and the same [`crate::protocol::SlotTable`], with a
+//! fixed-point register array as the payload. Results it produces are
 //! quantized, so they differ from the float sum by at most the
 //! quantization step times the worker count.
 
 use omnireduce_telemetry::{Counter, Telemetry};
-use omnireduce_tensor::{BlockIdx, INFINITY_BLOCK};
 use omnireduce_transport::{
-    BufferPool, Entry, Message, NodeId, Packet, PacketKind, Transport, TransportError,
+    BufferPool, Entry, Message, Packet, PacketKind, Transport, TransportError,
 };
 
+use crate::aggregator::ResultFanout;
 use crate::config::OmniConfig;
-use crate::layout::StreamLayout;
+use crate::protocol::{ColEntry, Row, SlotTable};
+use crate::shard::ShardMap;
 use crate::wire::{decode_next, encode_next};
 
 /// Values a Tofino-class pipeline can aggregate per packet per pass
@@ -87,58 +89,6 @@ impl FixedPoint {
     }
 }
 
-const NEG_INFINITY: i64 = -1;
-
-struct ColSlot {
-    cur: BlockIdx,
-    acc: Vec<i32>,
-    touched: bool,
-    next_of: Vec<i64>,
-}
-
-impl ColSlot {
-    fn new(first: BlockIdx, n: usize) -> Self {
-        ColSlot {
-            cur: first,
-            acc: Vec::new(),
-            touched: false,
-            next_of: vec![NEG_INFINITY; n],
-        }
-    }
-
-    fn active(&self) -> bool {
-        self.cur != INFINITY_BLOCK
-    }
-
-    fn min_next(&self) -> Option<BlockIdx> {
-        let mut min = i64::MAX;
-        for n in &self.next_of {
-            if *n == NEG_INFINITY {
-                return None;
-            }
-            min = min.min(*n);
-        }
-        Some(min as BlockIdx)
-    }
-
-    fn complete(&self) -> bool {
-        matches!(self.min_next(), Some(m) if (self.cur as i64) < m as i64)
-    }
-
-    /// Clears the slot for a new round in place, keeping the `acc` and
-    /// `next_of` allocations (DESIGN §9: no per-round allocation).
-    fn reset(&mut self, first: BlockIdx) {
-        self.cur = first;
-        self.acc.clear();
-        self.touched = false;
-        self.next_of.fill(NEG_INFINITY);
-    }
-}
-
-struct Slot {
-    cols: Vec<Option<ColSlot>>,
-}
-
 /// Statistics of the modelled switch data plane.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SwitchStats {
@@ -156,6 +106,7 @@ pub struct SwitchStats {
 /// Fleet-wide `core.switch.*` registry mirrors of [`SwitchStats`]
 /// (detached no-ops unless built via
 /// [`SwitchAggregator::with_telemetry`]).
+#[derive(Default)]
 struct SwitchCounters {
     packets: Counter,
     pipeline_passes: Counter,
@@ -164,15 +115,6 @@ struct SwitchCounters {
 }
 
 impl SwitchCounters {
-    fn detached() -> Self {
-        SwitchCounters {
-            packets: Counter::detached(),
-            pipeline_passes: Counter::detached(),
-            saturations: Counter::detached(),
-            results_sent: Counter::detached(),
-        }
-    }
-
     fn registered(telemetry: &Telemetry) -> Self {
         SwitchCounters {
             packets: telemetry.counter("core.switch.packets"),
@@ -189,12 +131,14 @@ impl SwitchCounters {
 pub struct SwitchAggregator<T: Transport> {
     transport: T,
     cfg: OmniConfig,
-    layout: StreamLayout,
     fp: FixedPoint,
-    slots: Vec<Option<Slot>>,
-    /// Workers that sent `Shutdown` (finished; excluded from multicasts).
-    departed: Vec<bool>,
-    goodbyes: usize,
+    /// Algorithm 1's slots for the streams this shard owns.
+    table: SlotTable,
+    /// Fixed-point registers per (stream, column), `stream × width +
+    /// column`; empty = untouched since the last completion. The
+    /// allocations persist across blocks and rounds (DESIGN §9).
+    regs: Vec<Vec<i32>>,
+    fanout: ResultFanout,
     /// Data-plane counters.
     pub stats: SwitchStats,
     counters: SwitchCounters,
@@ -202,8 +146,8 @@ pub struct SwitchAggregator<T: Transport> {
     /// payloads and entry lists are checked out here and recycled after
     /// the multicast instead of reallocated per completion.
     pool: BufferPool,
-    /// Multicast fan-out scratch, reused across completions.
-    workers_scratch: Vec<NodeId>,
+    /// Completed-row scratch, refilled per completion.
+    row: Vec<ColEntry>,
 }
 
 impl<T: Transport> SwitchAggregator<T> {
@@ -222,47 +166,27 @@ impl<T: Transport> SwitchAggregator<T> {
             "node {node} is not an aggregator"
         );
         let shard = node - cfg.num_workers;
-        let layout = StreamLayout::new(
-            cfg.block_spec(),
-            cfg.fusion,
-            cfg.total_streams(),
-            cfg.tensor_len,
-        );
-        let owned_streams = (0..layout.total_streams())
-            .filter(|g| cfg.shard_of_stream(*g) == shard)
-            .count();
-        let needed = owned_streams * cfg.fusion;
+        let map = ShardMap::new(&cfg);
+        let needed = map.streams_of(shard).count() * cfg.fusion;
         assert!(
             needed <= pool_slots,
             "geometry needs {needed} slots but the switch pool holds {pool_slots}"
         );
-        let slots = (0..layout.total_streams())
-            .map(|g| {
-                (cfg.shard_of_stream(g) == shard).then(|| Slot {
-                    cols: (0..layout.width())
-                        .map(|c| {
-                            layout
-                                .first_block(g, c)
-                                .map(|b0| ColSlot::new(b0, cfg.num_workers))
-                        })
-                        .collect(),
-                })
-            })
-            .collect();
-        let departed = vec![false; cfg.num_workers];
+        let layout = *map.layout();
+        let table = SlotTable::new(layout, map.streams_of(shard), cfg.num_workers);
+        let regs = vec![Vec::new(); layout.total_streams() * layout.width()];
         let pool = BufferPool::for_block_size(cfg.block_size);
         SwitchAggregator {
             transport,
+            fanout: ResultFanout::new(cfg.num_workers),
             cfg,
-            layout,
             fp,
-            slots,
-            departed,
-            goodbyes: 0,
+            table,
+            regs,
             stats: SwitchStats::default(),
-            counters: SwitchCounters::detached(),
+            counters: SwitchCounters::default(),
             pool,
-            workers_scratch: Vec::new(),
+            row: Vec::new(),
         }
     }
 
@@ -288,11 +212,7 @@ impl<T: Transport> SwitchAggregator<T> {
             match msg {
                 Message::Block(p) if p.kind == PacketKind::Data => self.handle(p)?,
                 Message::Shutdown => {
-                    if !self.departed[from.index()] {
-                        self.departed[from.index()] = true;
-                        self.goodbyes += 1;
-                    }
-                    if self.goodbyes == self.cfg.num_workers {
+                    if self.fanout.goodbye(from) {
                         return Ok(());
                     }
                 }
@@ -303,25 +223,22 @@ impl<T: Transport> SwitchAggregator<T> {
 
     fn handle(&mut self, p: Packet) -> Result<(), TransportError> {
         let g = p.slot as usize;
-        let width = self.layout.width();
+        let width = self.cfg.fusion;
         self.stats.packets += 1;
         self.counters.packets.inc();
         let fp = self.fp;
-        let slot = self.slots[g].as_mut().expect("stream not owned");
         for entry in &p.entries {
             let (col, next) = decode_next(entry.next, width);
-            let cs = slot.cols[col].as_mut().expect("invalid column");
             if !entry.data.is_empty() {
-                debug_assert_eq!(entry.block, cs.cur);
+                debug_assert_eq!(entry.block, self.table.cur(g, col));
                 let passes = entry.data.len().div_ceil(TOFINO_MAX_BLOCK) as u64;
                 self.stats.pipeline_passes += passes;
                 self.counters.pipeline_passes.add(passes);
-                if !cs.touched {
-                    cs.acc.clear();
-                    cs.acc.extend(entry.data.iter().map(|v| fp.quantize(*v)));
-                    cs.touched = true;
+                let acc = &mut self.regs[g * width + col];
+                if acc.is_empty() {
+                    acc.extend(entry.data.iter().map(|v| fp.quantize(*v)));
                 } else {
-                    for (a, v) in cs.acc.iter_mut().zip(&entry.data) {
+                    for (a, v) in acc.iter_mut().zip(&entry.data) {
                         let q = fp.quantize(*v);
                         let sum = fp.add(*a, q);
                         if sum == i32::MAX || sum == i32::MIN {
@@ -332,80 +249,34 @@ impl<T: Transport> SwitchAggregator<T> {
                     }
                 }
             }
-            cs.next_of[p.wid as usize] = if next == INFINITY_BLOCK {
-                INFINITY_BLOCK as i64
-            } else {
-                next as i64
-            };
+            self.table.announce(g, col, p.wid as usize, next);
         }
-        self.check_completion(g)
+        self.complete_row(g)
     }
 
-    fn check_completion(&mut self, g: usize) -> Result<(), TransportError> {
-        let width = self.layout.width();
+    fn complete_row(&mut self, g: usize) -> Result<(), TransportError> {
+        let width = self.cfg.fusion;
         let fp = self.fp;
-        let slot = self.slots[g].as_mut().expect("owned stream");
-        let any_active = slot.cols.iter().flatten().any(|c| c.active());
-        let all_complete = slot
-            .cols
-            .iter()
-            .flatten()
-            .filter(|c| c.active())
-            .all(|c| c.complete());
-        if !any_active || !all_complete {
+        if self.table.complete_row(g, &mut self.row) == Row::Pending {
             return Ok(());
         }
         let mut entries = self.pool.checkout_entries();
-        let mut all_done = true;
-        for (col, cs) in slot.cols.iter_mut().enumerate() {
-            let Some(cs) = cs else { continue };
-            if !cs.active() {
-                continue;
-            }
-            let min_next = cs.min_next().expect("complete implies announced");
+        for r in &self.row {
+            let acc = &mut self.regs[g * width + r.col];
             // Pooled dequantized payload (no fresh Vec per completion).
             let mut data = self.pool.checkout_f32();
-            data.extend(cs.acc.iter().map(|q| fp.dequantize(*q)));
-            entries.push(Entry::data(cs.cur, encode_next(min_next, col, width), data));
-            cs.acc.clear();
-            cs.touched = false;
-            cs.cur = min_next;
-            if min_next != INFINITY_BLOCK {
-                all_done = false;
-            }
-        }
-        let msg = Message::Block(Packet {
-            kind: PacketKind::Result,
-            ver: 0,
-            slot: g as u16,
-            stream: self.cfg.stream_id,
-            wid: u16::MAX,
-            epoch: 0,
-            entries,
-        });
-        self.workers_scratch.clear();
-        for w in 0..self.cfg.num_workers {
-            if !self.departed[w] {
-                self.workers_scratch.push(NodeId(self.cfg.worker_node(w)));
-            }
+            data.extend(acc.iter().map(|q| fp.dequantize(*q)));
+            acc.clear();
+            entries.push(Entry::data(
+                r.block,
+                encode_next(r.next, r.col, width),
+                data,
+            ));
         }
         self.stats.results_sent += 1;
         self.counters.results_sent.inc();
-        for w in &self.workers_scratch {
-            crate::wire::send_best_effort(&self.transport, *w, &msg)?;
-        }
-        // The multicast borrowed the message; its buffers come back.
-        self.pool.recycle_message(msg);
-        if all_done {
-            let layout = self.layout;
-            let slot = self.slots[g].as_mut().expect("owned stream");
-            for (c, cs) in slot.cols.iter_mut().enumerate() {
-                if let Some(cs) = cs {
-                    cs.reset(layout.first_block(g, c).expect("valid"));
-                }
-            }
-        }
-        Ok(())
+        self.fanout
+            .multicast(&self.transport, &self.cfg, &mut self.pool, g, entries)
     }
 }
 

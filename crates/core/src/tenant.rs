@@ -64,8 +64,8 @@ use crate::aggregator::{AggregatorStats, OmniAggregator};
 use crate::config::OmniConfig;
 use crate::error::ProtocolError;
 use crate::recovery::{RecoveryAggregator, RecoveryAggregatorStats, RecoveryStats, RecoveryWorker};
-use crate::shard::{ShardMap, ShardedWorker};
-use crate::worker::WorkerStats;
+use crate::shard::ShardMap;
+use crate::worker::{OmniWorker, WorkerStats};
 
 /// Fixed-point scale of the virtual clock (per-slot cost is
 /// `SCALE / weight`, so weights up to `SCALE` stay meaningful).
@@ -1216,7 +1216,8 @@ impl TenantHandle {
                     thread::Builder::new()
                         .name(format!("tenant{}-worker{w}", self.stream))
                         .spawn_scoped(scope, move || {
-                            let mut worker = ShardedWorker::with_telemetry(ls, cfg, telemetry);
+                            let bond = ShardBond::new(ls, cfg.num_workers as u16);
+                            let mut worker = OmniWorker::with_telemetry(bond, cfg, telemetry);
                             let mut outs = Vec::with_capacity(tensors.len());
                             let mut prev_bytes = 0u64;
                             let mut failure = None;

@@ -121,7 +121,7 @@ pub fn run_group(cfg: &OmniConfig, inputs: Vec<Vec<Tensor>>) -> GroupResult {
                 outs.push(tensor);
             }
             let stats = worker.stats();
-            let shard_bytes = worker.shard_bytes().to_vec();
+            let shard_bytes = worker.shard_bytes();
             worker.shutdown().expect("shutdown failed");
             (outs, stats, shard_bytes)
         }));

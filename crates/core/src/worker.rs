@@ -17,9 +17,16 @@
 //! All streams are outstanding concurrently — that is the fine-grained
 //! pipelining of §3.1.1; a single protocol thread multiplexes them off
 //! one receive queue.
+//!
+//! The cursors and the send-or-stay-silent rule are
+//! [`crate::protocol::WorkerRound`]; this driver owns the payload (a
+//! pooled copy of each block), the transport and the counters. Sharded
+//! deployments hand it an [`omnireduce_transport::ShardBond`] — one lane
+//! per aggregator behind one `Transport` — and read the traffic back per
+//! shard ([`OmniWorker::shard_bytes`], DESIGN §10).
 
 use omnireduce_telemetry::{Counter, FlightEventKind, FlightLane, LaneRole, Telemetry, NO_BLOCK};
-use omnireduce_tensor::{BlockIdx, NonZeroBitmap, Tensor, INFINITY_BLOCK};
+use omnireduce_tensor::{NonZeroBitmap, Tensor};
 use omnireduce_transport::{
     codec, BufferPool, Entry, Message, NodeId, Packet, PacketKind, Transport, TransportError,
 };
@@ -27,10 +34,13 @@ use omnireduce_transport::{
 use crate::config::OmniConfig;
 use crate::instrument::EngineTrace;
 use crate::layout::StreamLayout;
+use crate::protocol::{ColEntry, WorkerRound};
+use crate::shard::ShardMap;
 use crate::wire::{decode_next, encode_next};
 
-/// Traffic counters for one worker, used by tests and by the Table 1
-/// "OmniReduce communication volume" reproduction.
+/// Traffic counters for one worker (or one worker's traffic with one
+/// shard), used by tests and by the Table 1 "OmniReduce communication
+/// volume" reproduction.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerStats {
     /// Data packets sent to aggregators.
@@ -47,25 +57,19 @@ pub struct WorkerStats {
 
 /// Fleet-wide `core.worker.*` registry mirrors of [`WorkerStats`]
 /// (detached no-ops unless built via [`OmniWorker::with_telemetry`]).
+#[derive(Default)]
 struct WorkerCounters {
     packets_sent: Counter,
     bytes_sent: Counter,
     blocks_sent: Counter,
     results_received: Counter,
     rounds_completed: Counter,
+    /// `core.shard.shutdown_errors`: goodbyes that failed to send
+    /// during wind-down (every shard is attempted regardless).
+    shutdown_errors: Counter,
 }
 
 impl WorkerCounters {
-    fn detached() -> Self {
-        WorkerCounters {
-            packets_sent: Counter::detached(),
-            bytes_sent: Counter::detached(),
-            blocks_sent: Counter::detached(),
-            results_received: Counter::detached(),
-            rounds_completed: Counter::detached(),
-        }
-    }
-
     fn registered(telemetry: &Telemetry) -> Self {
         WorkerCounters {
             packets_sent: telemetry.counter("core.worker.packets_sent"),
@@ -73,36 +77,23 @@ impl WorkerCounters {
             blocks_sent: telemetry.counter("core.worker.blocks_sent"),
             results_received: telemetry.counter("core.worker.results_received"),
             rounds_completed: telemetry.counter("core.worker.rounds_completed"),
+            shutdown_errors: telemetry.counter("core.shard.shutdown_errors"),
         }
     }
 }
 
-/// Per-column protocol state within one stream.
-struct ColState {
-    /// This worker's next untransmitted non-zero block in the column.
-    my_next: BlockIdx,
-    /// The column finished (aggregator requested ∞).
-    done: bool,
-}
-
-/// Per-stream protocol state.
-struct StreamState {
-    cols: Vec<Option<ColState>>, // None for invalid (past-end) columns
-    remaining: usize,            // active columns not yet done
-}
-
 /// The worker engine. Generic over the transport, so the same code runs
-/// over in-process channels, TCP sockets, or tests' mocks.
+/// over in-process channels, TCP sockets, a per-shard bond, or tests'
+/// mocks.
 pub struct OmniWorker<T: Transport> {
     transport: T,
     cfg: OmniConfig,
     layout: StreamLayout,
     wid: u16,
-    stats: WorkerStats,
-    /// Wire bytes sent per destination shard (index = shard); sums to
-    /// `stats.bytes_sent`. Multi-aggregator deployments account each
-    /// shard's traffic independently (DESIGN §10).
-    shard_bytes: Vec<u64>,
+    /// Traffic counters per destination shard (index = shard);
+    /// [`OmniWorker::stats`] is their sum. Multi-aggregator deployments
+    /// account each shard's traffic independently (DESIGN §10).
+    shard_stats: Vec<WorkerStats>,
     counters: WorkerCounters,
     trace: EngineTrace,
     /// Protocol flight lane (no-op unless the registry's flight
@@ -124,22 +115,15 @@ impl<T: Transport> OmniWorker<T> {
             (wid as usize) < cfg.num_workers,
             "transport node {wid} is not a worker"
         );
-        let layout = StreamLayout::new(
-            cfg.block_spec(),
-            cfg.fusion,
-            cfg.total_streams(),
-            cfg.tensor_len,
-        );
+        let layout = *ShardMap::new(&cfg).layout();
         let pool = BufferPool::for_block_size(cfg.block_size);
-        let shard_bytes = vec![0; cfg.num_aggregators];
         OmniWorker {
             transport,
+            shard_stats: vec![WorkerStats::default(); cfg.num_aggregators],
             cfg,
             layout,
             wid,
-            stats: WorkerStats::default(),
-            shard_bytes,
-            counters: WorkerCounters::detached(),
+            counters: WorkerCounters::default(),
             trace: EngineTrace::disabled(),
             flight: FlightLane::disabled(),
             pool,
@@ -162,15 +146,25 @@ impl<T: Transport> OmniWorker<T> {
         w
     }
 
-    /// Traffic counters so far.
+    /// Traffic counters so far, summed over the shards.
     pub fn stats(&self) -> WorkerStats {
-        self.stats
+        let mut total = WorkerStats {
+            rounds_completed: self.rounds(),
+            ..WorkerStats::default()
+        };
+        for s in &self.shard_stats {
+            total.packets_sent += s.packets_sent;
+            total.bytes_sent += s.bytes_sent;
+            total.blocks_sent += s.blocks_sent;
+            total.results_received += s.results_received;
+        }
+        total
     }
 
     /// Wire bytes sent to each aggregator shard (index = shard). Sums
     /// to [`WorkerStats::bytes_sent`].
-    pub fn shard_bytes(&self) -> &[u64] {
-        &self.shard_bytes
+    pub fn shard_bytes(&self) -> Vec<u64> {
+        self.shard_stats.iter().map(|s| s.bytes_sent).collect()
     }
 
     /// This worker's id.
@@ -178,8 +172,13 @@ impl<T: Transport> OmniWorker<T> {
         self.wid
     }
 
+    /// Rounds completed (every shard's row counts every round).
+    fn rounds(&self) -> u64 {
+        self.shard_stats[0].rounds_completed
+    }
+
     /// Runs one AllReduce: on return, `tensor` holds the element-wise sum
-    /// across all workers.
+    /// across all workers and shards.
     pub fn allreduce(&mut self, tensor: &mut Tensor) -> Result<(), TransportError> {
         assert_eq!(
             tensor.len(),
@@ -187,46 +186,22 @@ impl<T: Transport> OmniWorker<T> {
             "tensor length does not match group config"
         );
         let round_start = self.trace.start();
-        let round = self.stats.rounds_completed as u32;
+        let round = self.rounds() as u32;
         self.flight
             .record(FlightEventKind::RoundStart, round, NO_BLOCK, 0, self.wid, 0);
         let encode_t0 = self.flight.now_ns();
         let bitmap = NonZeroBitmap::build(tensor, self.cfg.block_spec());
-        let skip = self.cfg.skip_zero_blocks;
         let layout = self.layout;
+        let mut cursors = WorkerRound::new(layout, self.cfg.skip_zero_blocks);
 
-        // Initialize stream states and send first-row packets.
-        let mut streams: Vec<Option<StreamState>> =
-            (0..layout.total_streams()).map(|_| None).collect();
-        let mut pending = 0usize;
+        // First row of every stream, sent unconditionally.
         for g in layout.active_streams() {
-            let mut cols: Vec<Option<ColState>> = Vec::with_capacity(layout.width());
             let mut entries = self.pool.checkout_entries();
-            let mut remaining = 0usize;
-            for c in 0..layout.width() {
-                match layout.first_block(g, c) {
-                    Some(b0) => {
-                        let my_next = layout.next_block(&bitmap, g, c, Some(b0), skip);
-                        // Pooled copy of the block (no `to_vec` per block).
-                        let mut data = self.pool.checkout_f32();
-                        data.extend_from_slice(&tensor[layout.block_range(b0)]);
-                        entries.push(Entry::data(
-                            b0,
-                            encode_next(my_next, c, layout.width()),
-                            data,
-                        ));
-                        cols.push(Some(ColState {
-                            my_next,
-                            done: false,
-                        }));
-                        remaining += 1;
-                    }
-                    None => cols.push(None),
-                }
-            }
+            let pool = &mut self.pool;
+            cursors.open_stream(&bitmap, g, |s| {
+                entries.push(data_entry(pool, tensor, &layout, s))
+            });
             self.send_data(g, entries)?;
-            streams[g] = Some(StreamState { cols, remaining });
-            pending += 1;
         }
         self.flight.record(
             FlightEventKind::Encode,
@@ -238,24 +213,24 @@ impl<T: Transport> OmniWorker<T> {
         );
 
         // Main loop: process results until every stream completes.
-        while pending > 0 {
+        while !cursors.round_done() {
             let (_, msg) = self.transport.recv()?;
             let packet = match msg {
                 Message::Block(p) if p.kind == PacketKind::Result => p,
                 other => panic!("worker: unexpected message {:?}", other.tag()),
             };
-            self.stats.results_received += 1;
-            self.counters.results_received.inc();
             let g = packet.slot as usize;
+            let shard = self.cfg.shard_of_stream(g);
+            self.shard_stats[shard].results_received += 1;
+            self.counters.results_received.inc();
             self.flight.record(
                 FlightEventKind::ResultRx,
                 round,
                 NO_BLOCK,
-                self.cfg.shard_of_stream(g) as u16,
+                shard as u16,
                 self.wid,
                 packet.entries.len() as u64,
             );
-            let state = streams[g].as_mut().expect("result for unknown stream");
             let mut reply = self.pool.checkout_entries();
             for entry in &packet.entries {
                 let (col, requested) = decode_next(entry.next, layout.width());
@@ -263,42 +238,21 @@ impl<T: Transport> OmniWorker<T> {
                 if !entry.data.is_empty() {
                     tensor.copy_slice_at(layout.block_range(entry.block).start, &entry.data);
                 }
-                let cs = state.cols[col]
-                    .as_mut()
-                    .expect("result entry for invalid column");
-                if cs.done {
-                    continue;
+                // `None`: another worker owns the requested block (the
+                // aggregator already has our next), or the column is done.
+                if let Some(s) = cursors.on_result(&bitmap, g, col, requested) {
+                    reply.push(data_entry(&mut self.pool, tensor, &layout, s));
                 }
-                if requested == INFINITY_BLOCK {
-                    cs.done = true;
-                    state.remaining -= 1;
-                    continue;
-                }
-                if cs.my_next == requested {
-                    let new_next = layout.next_block(&bitmap, g, col, Some(requested), skip);
-                    let mut data = self.pool.checkout_f32();
-                    data.extend_from_slice(&tensor[layout.block_range(requested)]);
-                    reply.push(Entry::data(
-                        requested,
-                        encode_next(new_next, col, layout.width()),
-                        data,
-                    ));
-                    cs.my_next = new_next;
-                }
-                // requested < my_next: another worker owns it; stay silent
-                // (Algorithm 1 — the aggregator already has our next).
             }
             if !reply.is_empty() {
                 self.send_data(g, reply)?;
             } else {
                 self.pool.checkin_entries(reply);
             }
-            if state.remaining == 0 {
-                streams[g] = None;
-                pending -= 1;
-            }
         }
-        self.stats.rounds_completed += 1;
+        for s in &mut self.shard_stats {
+            s.rounds_completed += 1;
+        }
         self.counters.rounds_completed.inc();
         self.flight
             .record(FlightEventKind::RoundEnd, round, NO_BLOCK, 0, self.wid, 0);
@@ -318,14 +272,14 @@ impl<T: Transport> OmniWorker<T> {
             entries,
         });
         let wire_bytes = codec::encoded_len(&msg) as u64;
-        self.stats.packets_sent += 1;
-        self.stats.blocks_sent += blocks;
-        self.stats.bytes_sent += wire_bytes;
+        let shard = self.cfg.shard_of_stream(stream);
+        let st = &mut self.shard_stats[shard];
+        st.packets_sent += 1;
+        st.blocks_sent += blocks;
+        st.bytes_sent += wire_bytes;
         self.counters.packets_sent.inc();
         self.counters.blocks_sent.add(blocks);
         self.counters.bytes_sent.add(wire_bytes);
-        let shard = self.cfg.shard_of_stream(stream);
-        self.shard_bytes[shard] += wire_bytes;
         // One flight event per fused message (not per block), keyed by
         // the first entry's block — the aggregator mirrors the key on
         // its PacketRx so the reconstructor can pair them.
@@ -333,7 +287,7 @@ impl<T: Transport> OmniWorker<T> {
             if let Some(first) = p.entries.first() {
                 self.flight.record(
                     FlightEventKind::PacketTx,
-                    self.stats.rounds_completed as u32,
+                    self.rounds() as u32,
                     first.block as u64,
                     shard as u16,
                     self.wid,
@@ -352,11 +306,29 @@ impl<T: Transport> OmniWorker<T> {
 
     /// Tells every aggregator shard this worker is leaving; aggregators
     /// exit once all workers have said goodbye.
+    ///
+    /// Wind-down is symmetric across shards: a dead shard must not keep
+    /// the goodbye from reaching the surviving ones, so every shard is
+    /// attempted even after a failure. Failed goodbyes are counted in
+    /// `core.shard.shutdown_errors` and the first error is returned once
+    /// all shards have been tried.
     pub fn shutdown(self) -> Result<(), TransportError> {
+        let mut first_err = None;
         for a in 0..self.cfg.num_aggregators {
-            self.transport
-                .send(NodeId(self.cfg.aggregator_node(a)), &Message::Shutdown)?;
+            let node = NodeId(self.cfg.aggregator_node(a));
+            if let Err(e) = self.transport.send(node, &Message::Shutdown) {
+                self.counters.shutdown_errors.inc();
+                first_err.get_or_insert(e);
+            }
         }
-        Ok(())
+        first_err.map_or(Ok(()), Err)
     }
+}
+
+/// The wire entry for one outgoing [`ColEntry`]: a pooled copy of the block (no
+/// `to_vec` per block) plus the announced next.
+fn data_entry(pool: &mut BufferPool, tensor: &Tensor, layout: &StreamLayout, s: ColEntry) -> Entry {
+    let mut data = pool.checkout_f32();
+    data.extend_from_slice(&tensor[layout.block_range(s.block)]);
+    Entry::data(s.block, encode_next(s.next, s.col, layout.width()), data)
 }

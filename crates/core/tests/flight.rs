@@ -363,8 +363,8 @@ fn sharded_recovery_chaos_recording_reconstructs() {
     });
 }
 
-/// The lossless sharded engine (ShardedWorker + OmniAggregator lanes)
-/// produces a reconstructable recording too.
+/// The lossless sharded engine (`OmniWorker` over a `ShardBond`, one
+/// `OmniAggregator` per lane) produces a reconstructable recording too.
 #[test]
 fn sharded_lossless_traced_run_reconstructs_every_round() {
     with_deadline(Duration::from_secs(120), || {

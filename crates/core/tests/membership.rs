@@ -20,8 +20,8 @@ use std::time::{Duration, Instant};
 use omnireduce_core::config::{DegradedMode, OmniConfig};
 use omnireduce_core::error::ProtocolError;
 use omnireduce_core::recovery::{RecoveryAggregator, RecoveryWorker};
-use omnireduce_core::shard::ShardedWorker;
 use omnireduce_core::testing::with_deadline;
+use omnireduce_core::OmniWorker;
 use omnireduce_telemetry::Telemetry;
 use omnireduce_tensor::dense::reference_sum;
 use omnireduce_tensor::gen::{self, OverlapMode};
@@ -255,37 +255,59 @@ fn evicted_worker_rejoins_and_contributes_to_next_round() {
     });
 }
 
-/// Regression (wind-down symmetry): a dead shard must not keep the
-/// goodbye from reaching surviving shards; the failure is counted and
-/// the first error surfaced after every lane was tried.
+fn two_shard_cfg() -> OmniConfig {
+    OmniConfig::new(1, 32)
+        .with_block_size(8)
+        .with_fusion(1)
+        .with_streams(2)
+        .with_aggregators(2)
+}
+
+/// Shard 0's endpoint is already gone: the worker's goodbye must still
+/// reach shard 1, the failure must be counted, and the first error
+/// surfaced after every shard was tried.
+fn assert_goodbye_reaches_survivor<T: Transport>(worker_t: T, agg1: &ChannelTransport) {
+    let telemetry = Telemetry::new();
+    let worker = OmniWorker::with_telemetry(worker_t, two_shard_cfg(), &telemetry);
+    let err = worker.shutdown().expect_err("dead shard must surface");
+    assert!(matches!(err, TransportError::Disconnected), "{err:?}");
+
+    let (_, msg) = agg1
+        .recv_timeout(Duration::from_secs(1))
+        .unwrap()
+        .expect("surviving shard never got the goodbye");
+    assert!(matches!(msg, Message::Shutdown));
+    assert_eq!(
+        telemetry.snapshot().counter("core.shard.shutdown_errors"),
+        1
+    );
+}
+
+/// Regression (wind-down symmetry), one lane per shard: a dead lane must
+/// not keep the goodbye from reaching the surviving lanes.
 #[test]
 fn sharded_shutdown_reaches_surviving_lanes_and_counts_failures() {
     with_deadline(Duration::from_secs(30), || {
-        let cfg = OmniConfig::new(1, 32)
-            .with_block_size(8)
-            .with_fusion(1)
-            .with_streams(2)
-            .with_aggregators(2);
         let mut mesh = ShardedChannelMesh::new(1, 2);
-        let lanes = mesh.worker_lanes(0);
+        let bond = mesh.worker_bond(0);
         drop(mesh.aggregator_endpoint(0)); // shard 0 is dead
         let agg1 = mesh.aggregator_endpoint(1);
+        assert_goodbye_reaches_survivor(bond, &agg1);
+    });
+}
 
-        let telemetry = Telemetry::new();
-        let worker = ShardedWorker::with_telemetry(lanes, cfg, &telemetry);
-        let err = worker.shutdown().expect_err("dead lane must surface");
-        assert!(matches!(err, TransportError::Disconnected), "{err:?}");
-
-        // The surviving shard still received its goodbye.
-        let (_, msg) = agg1
-            .recv_timeout(Duration::from_secs(1))
-            .unwrap()
-            .expect("surviving lane never got the goodbye");
-        assert!(matches!(msg, Message::Shutdown));
-        assert_eq!(
-            telemetry.snapshot().counter("core.shard.shutdown_errors"),
-            1
-        );
+/// The same on one plain mesh with two aggregators: the goodbye loop
+/// used to return at the first dead shard, leaving shard 1's `run()`
+/// blocked forever.
+#[test]
+fn shutdown_reaches_surviving_shard_on_a_plain_mesh() {
+    with_deadline(Duration::from_secs(30), || {
+        let cfg = two_shard_cfg();
+        let mut net = ChannelNetwork::new(cfg.mesh_size());
+        let worker_t = net.endpoint(NodeId(cfg.worker_node(0)));
+        drop(net.endpoint(NodeId(cfg.aggregator_node(0)))); // shard 0 is dead
+        let agg1 = net.endpoint(NodeId(cfg.aggregator_node(1)));
+        assert_goodbye_reaches_survivor(worker_t, &agg1);
     });
 }
 

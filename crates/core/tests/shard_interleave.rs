@@ -1,10 +1,10 @@
 //! Sharded interleaving tests: the multi-aggregator deployment under
 //! adversarial schedules and per-shard faults.
 //!
-//! * **Join invariance.** [`ShardJoin`] reaches the same verdict under
-//!   every completion order — a seeded-schedule sweep drives it through
-//!   shuffled stream-completion permutations, including the empty-shard
-//!   edge case where a shard owns no blocks and must be born complete.
+//! * **Empty shards.** A shard that owns no blocks is never waited on,
+//!   end to end. (That no delivery order can wedge or double-complete a
+//!   round is checked exhaustively on the pure state machines in
+//!   `protocol_exhaustive.rs`.)
 //! * **Per-shard chaos.** Keyed loss injected independently per shard
 //!   never corrupts the sum, and (single worker) a replay with the same
 //!   seeds reproduces identical `RecoveryStats` and telemetry counters.
@@ -21,7 +21,7 @@ use std::time::Duration;
 
 use omnireduce_core::config::{DegradedMode, OmniConfig};
 use omnireduce_core::error::ProtocolError;
-use omnireduce_core::shard::{ShardJoin, ShardMap, ShardedAllReduce};
+use omnireduce_core::shard::{ShardMap, ShardedAllReduce};
 use omnireduce_core::testing::with_deadline;
 use omnireduce_telemetry::Telemetry;
 use omnireduce_tensor::gen::{self, OverlapMode};
@@ -72,74 +72,6 @@ fn clean_plans(shards: usize, seed: u64) -> Vec<FaultPlan> {
     (0..shards)
         .map(|s| FaultPlan::new(seed.wrapping_add(s as u64)))
         .collect()
-}
-
-// ---------------------------------------------------------------------
-// Seeded-schedule join invariance (the loom-style interleaving sweep)
-// ---------------------------------------------------------------------
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Seeded Fisher–Yates: one permutation per seed, reproducible on
-/// failure from the proptest shrink output alone.
-fn shuffle(v: &mut [usize], seed: u64) {
-    let mut s = seed;
-    for i in (1..v.len()).rev() {
-        let j = (splitmix64(&mut s) % (i as u64 + 1)) as usize;
-        v.swap(i, j);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// For every shard count, tensor length and completion schedule:
-    /// `ShardJoin` fires `shard_done` exactly when a shard's last open
-    /// stream completes, `round_done` exactly on the globally last
-    /// completion, and shards owning no blocks are born complete — no
-    /// schedule can wedge or double-complete the round.
-    #[test]
-    fn prop_join_verdict_is_schedule_invariant(
-        shards_ix in 0usize..3,
-        len in 16usize..512,
-        seed in any::<u64>(),
-    ) {
-        let shards = [1usize, 2, 4][shards_ix];
-        let cfg = sharded_cfg(2, len, shards);
-        let map = ShardMap::new(&cfg);
-        let mut join = ShardJoin::new(map);
-
-        // Born-complete check: exactly the structurally empty shards.
-        for s in 0..shards {
-            prop_assert_eq!(join.shard_done(s), map.is_empty(s), "shard {} at birth", s);
-        }
-        prop_assert!(!join.round_done(), "a non-empty tensor has open streams");
-
-        let mut schedule: Vec<usize> = map.layout().active_streams().collect();
-        shuffle(&mut schedule, seed);
-
-        let mut open: Vec<usize> = (0..shards).map(|s| map.active_streams_of(s)).collect();
-        for (i, &g) in schedule.iter().enumerate() {
-            let ev = join.on_stream_complete(g);
-            let s = map.shard_of_stream(g);
-            prop_assert_eq!(ev.shard, s, "event names the wrong shard");
-            open[s] -= 1;
-            prop_assert_eq!(join.open_streams(s), open[s]);
-            prop_assert_eq!(ev.shard_done, open[s] == 0, "shard_done for stream {}", g);
-            prop_assert_eq!(
-                ev.round_done,
-                i + 1 == schedule.len(),
-                "round_done must fire exactly on the last completion"
-            );
-        }
-        prop_assert!(join.round_done());
-    }
 }
 
 // ---------------------------------------------------------------------

@@ -19,7 +19,7 @@ pub const INFINITY_BLOCK: BlockIdx = u32::MAX;
 ///
 /// The paper's default block size is 256 elements (§6, chosen empirically
 /// in §6.4.1); we keep it as the crate-wide default too.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BlockSpec {
     block_size: usize,
 }

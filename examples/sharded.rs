@@ -1,8 +1,8 @@
 //! Sharded AllReduce: block-index round-robin over N aggregators (§4).
 //!
 //! OmniReduce scales aggregation bandwidth by sharding blocks across
-//! parallel aggregators; each worker keeps one transport lane and one
-//! next-nonzero-block cursor per shard. This example deploys the
+//! parallel aggregators; each worker keeps one transport lane per shard,
+//! bonded into the one transport its engine drives. This example deploys the
 //! threaded harness — `OMNIREDUCE_NUM_AGGREGATORS` shards (default 2)
 //! × 3 workers, each engine on its own OS thread — and checks every
 //! worker's result against a dense reference sum. Run with:

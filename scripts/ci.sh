@@ -33,6 +33,19 @@ step() {
   fi
 }
 
+# step_t <seconds> <name> <cmd...>: `step` under an outer
+# `timeout --signal=KILL` belt, for suites where a regression can hang
+# instead of fail; plain `step` where `timeout` is not installed.
+step_t() {
+  local secs="$1" name="$2"
+  shift 2
+  if command -v timeout >/dev/null 2>&1; then
+    step "${name} (timeout ${secs}s)" timeout --signal=KILL "$secs" "$@"
+  else
+    step "$name" "$@"
+  fi
+}
+
 step "build (dev)" cargo build "${CARGO_FLAGS[@]}" --workspace
 if [[ "$FAST" -eq 0 ]]; then
   step "build (release)" cargo build "${CARGO_FLAGS[@]}" --workspace --release
@@ -45,54 +58,31 @@ step "test" cargo test "${CARGO_FLAGS[@]}" --workspace -q
 # test body already runs under testing::with_deadline; the outer
 # `timeout` is the belt to that suspenders (e.g. a deadlock outside the
 # watchdogged region). 300 s is ~20× the suite's normal runtime.
-if command -v timeout >/dev/null 2>&1; then
-  step "fault suite (timeout 300s)" \
-    timeout --signal=KILL 300 \
-    cargo test "${CARGO_FLAGS[@]}" -p omnireduce-core --test fault -q
-else
-  step "fault suite" cargo test "${CARGO_FLAGS[@]}" -p omnireduce-core --test fault -q
-fi
+step_t 300 "fault suite" \
+  cargo test "${CARGO_FLAGS[@]}" -p omnireduce-core --test fault -q
 
 # Membership suite (§12 elastic membership): epoch fencing at the
 # engine level (evict → stale-epoch drop → rejoin at a later epoch)
 # and the wind-down regression tests (shutdown errors surfaced and
 # counted on every lane). Timer-driven evictions mean a regression can
 # stall rather than fail — same outer timeout belt.
-if command -v timeout >/dev/null 2>&1; then
-  step "membership suite (timeout 300s)" \
-    timeout --signal=KILL 300 \
-    cargo test "${CARGO_FLAGS[@]}" -p omnireduce-core --test membership -q
-else
-  step "membership suite" \
-    cargo test "${CARGO_FLAGS[@]}" -p omnireduce-core --test membership -q
-fi
+step_t 300 "membership suite" \
+  cargo test "${CARGO_FLAGS[@]}" -p omnireduce-core --test membership -q
 
 # Failover suite (§12 hot standby): seeded primary crashes mid-stream
 # must complete via the standby bit-identical to an uninterrupted run,
 # with exact stats/telemetry replay. A takeover that never converges
 # presents as a hang, hence the outer timeout.
-if command -v timeout >/dev/null 2>&1; then
-  step "failover suite (timeout 300s)" \
-    timeout --signal=KILL 300 \
-    cargo test "${CARGO_FLAGS[@]}" -p omnireduce-core --test fault -q -- failover fails_over
-else
-  step "failover suite" \
-    cargo test "${CARGO_FLAGS[@]}" -p omnireduce-core --test fault -q -- failover fails_over
-fi
+step_t 300 "failover suite" \
+  cargo test "${CARGO_FLAGS[@]}" -p omnireduce-core --test fault -q -- failover fails_over
 
 # Sharded interleaving suite (§4 multi-aggregator): per-shard chaos,
-# join-schedule invariance, one-shard stragglers and a non-primary
-# aggregator crash. Same hang risk as the fault suite (a survivor that
+# empty shards, one-shard stragglers and a non-primary aggregator
+# crash. Same hang risk as the fault suite (a survivor that
 # never winds down presents as a stall), so it gets the same outer
 # timeout belt.
-if command -v timeout >/dev/null 2>&1; then
-  step "sharded interleave suite (timeout 300s)" \
-    timeout --signal=KILL 300 \
-    cargo test "${CARGO_FLAGS[@]}" -p omnireduce-core --test shard_interleave -q
-else
-  step "sharded interleave suite" \
-    cargo test "${CARGO_FLAGS[@]}" -p omnireduce-core --test shard_interleave -q
-fi
+step_t 300 "sharded interleave suite" \
+  cargo test "${CARGO_FLAGS[@]}" -p omnireduce-core --test shard_interleave -q
 
 # Cross-engine differential suite: every protocol implementation
 # (lossless, recovery clean/lossy, sharded {1,2,4}-aggregator columns,
@@ -110,14 +100,8 @@ step "differential (workspace engines, per-shard bytes)" \
 # reconstructor must recover every round, and the seeded straggler /
 # loss faults must trip their detectors. Same outer timeout belt as the
 # fault suite — these tests drive real lossy multi-thread runs.
-if command -v timeout >/dev/null 2>&1; then
-  step "flight recorder suite (timeout 300s)" \
-    timeout --signal=KILL 300 \
-    cargo test "${CARGO_FLAGS[@]}" -p omnireduce-core --test flight -q
-else
-  step "flight recorder suite" \
-    cargo test "${CARGO_FLAGS[@]}" -p omnireduce-core --test flight -q
-fi
+step_t 300 "flight recorder suite" \
+  cargo test "${CARGO_FLAGS[@]}" -p omnireduce-core --test flight -q
 
 # Parallel simnet differential suite (§13): the full conformance matrix
 # through the simulated mirrors at threads {1,2,8} — completion times,
@@ -125,28 +109,16 @@ fi
 # bit-identical across thread counts, plus recovery/membership runs. A
 # synchronization bug in the conservative engine can deadlock a barrier
 # rather than fail, hence the outer timeout belt.
-if command -v timeout >/dev/null 2>&1; then
-  step "simnet-parallel (timeout 300s)" \
-    timeout --signal=KILL 300 \
-    cargo test "${CARGO_FLAGS[@]}" -p omnireduce --test simnet_parallel -q
-else
-  step "simnet-parallel" \
-    cargo test "${CARGO_FLAGS[@]}" -p omnireduce --test simnet_parallel -q
-fi
+step_t 300 "simnet-parallel" \
+  cargo test "${CARGO_FLAGS[@]}" -p omnireduce --test simnet_parallel -q
 
 # Simnet property tests: random topologies (node count, rack fan-out,
 # latencies, loss, thread count) must be parallel==sequential
 # bit-identical, plus the committed regression corpus
 # (crates/simnet/tests/regressions/topologies.csv). Same hang risk as
 # above — a lookahead bug stalls the window protocol.
-if command -v timeout >/dev/null 2>&1; then
-  step "simnet-proptest (timeout 300s)" \
-    timeout --signal=KILL 300 \
-    cargo test "${CARGO_FLAGS[@]}" -p omnireduce-simnet --test proptest_topologies -q
-else
-  step "simnet-proptest" \
-    cargo test "${CARGO_FLAGS[@]}" -p omnireduce-simnet --test proptest_topologies -q
-fi
+step_t 300 "simnet-proptest" \
+  cargo test "${CARGO_FLAGS[@]}" -p omnireduce-simnet --test proptest_topologies -q
 
 # Tenant isolation suite (§15 multi-tenancy): N concurrent tenants over
 # one shared shard fleet must each be bit-identical to their solo runs
@@ -155,27 +127,15 @@ fi
 # overuse must throttle without corruption, and a solo service tenant
 # must match the plain sharded harness byte-for-byte. A demux or
 # scheduler deadlock presents as a stall, hence the outer timeout belt.
-if command -v timeout >/dev/null 2>&1; then
-  step "tenant interleave suite (timeout 300s)" \
-    timeout --signal=KILL 300 \
-    cargo test "${CARGO_FLAGS[@]}" -p omnireduce-core --test tenant_interleave -q
-else
-  step "tenant interleave suite" \
-    cargo test "${CARGO_FLAGS[@]}" -p omnireduce-core --test tenant_interleave -q
-fi
+step_t 300 "tenant interleave suite" \
+  cargo test "${CARGO_FLAGS[@]}" -p omnireduce-core --test tenant_interleave -q
 
 # Tenant fairness suite (§15 WFQ): pure property tests over the slot
 # scheduler — weighted shares converge, bounded wait (no starvation),
 # pool never over-committed, quota debt demotes without corruption,
 # grant sequences replay exactly per seed.
-if command -v timeout >/dev/null 2>&1; then
-  step "tenant fairness suite (timeout 300s)" \
-    timeout --signal=KILL 300 \
-    cargo test "${CARGO_FLAGS[@]}" -p omnireduce-core --test tenant_fairness -q
-else
-  step "tenant fairness suite" \
-    cargo test "${CARGO_FLAGS[@]}" -p omnireduce-core --test tenant_fairness -q
-fi
+step_t 300 "tenant fairness suite" \
+  cargo test "${CARGO_FLAGS[@]}" -p omnireduce-core --test tenant_fairness -q
 
 # Stream-0 wire compatibility: legacy 10-byte Block frames and the
 # stream-tagged 12-byte layout round-trip through the same codec, and
@@ -199,29 +159,16 @@ step "detector boundary suite" \
 # Sampler non-perturbation (§14): sampler-on chaos runs must be
 # bit-identical (tensors, stats) to sampler-off runs, with an exact
 # counter-plane replay. Lossy multi-thread runs — same timeout belt.
-if command -v timeout >/dev/null 2>&1; then
-  step "sampler identity suite (timeout 300s)" \
-    timeout --signal=KILL 300 \
-    cargo test "${CARGO_FLAGS[@]}" -p omnireduce-core --test sampler_identity -q
-else
-  step "sampler identity suite" \
-    cargo test "${CARGO_FLAGS[@]}" -p omnireduce-core --test sampler_identity -q
-fi
+step_t 300 "sampler identity suite" \
+  cargo test "${CARGO_FLAGS[@]}" -p omnireduce-core --test sampler_identity -q
 
 # End-to-end analyzer: omnistat runs a sharded recovery deployment
 # under packet loss, merges its own recording and gates on the
 # reconstructor producing a non-degenerate latency attribution.
 if [[ "$FAST" -eq 0 ]]; then
-  if command -v timeout >/dev/null 2>&1; then
-    step "omnistat attribution gate (timeout 300s)" \
-      timeout --signal=KILL 300 \
-      cargo run "${CARGO_FLAGS[@]}" --release -p omnireduce-bench \
-      --bin omnistat -- --demo --check
-  else
-    step "omnistat attribution gate" \
-      cargo run "${CARGO_FLAGS[@]}" --release -p omnireduce-bench \
-      --bin omnistat -- --demo --check
-  fi
+  step_t 300 "omnistat attribution gate" \
+    cargo run "${CARGO_FLAGS[@]}" --release -p omnireduce-bench \
+    --bin omnistat -- --demo --check
 fi
 
 # Telemetry pipeline gate (§14): omnitop's seeded chaos demo. Every
@@ -229,16 +176,9 @@ fi
 # silent on the clean control schedule, and a background-sampled run
 # must be bit-identical to an unsampled one.
 if [[ "$FAST" -eq 0 ]]; then
-  if command -v timeout >/dev/null 2>&1; then
-    step "omnitop detector gate (timeout 300s)" \
-      timeout --signal=KILL 300 \
-      cargo run "${CARGO_FLAGS[@]}" --release -p omnireduce-bench \
-      --bin omnitop -- --demo --check
-  else
-    step "omnitop detector gate" \
-      cargo run "${CARGO_FLAGS[@]}" --release -p omnireduce-bench \
-      --bin omnitop -- --demo --check
-  fi
+  step_t 300 "omnitop detector gate" \
+    cargo run "${CARGO_FLAGS[@]}" --release -p omnireduce-bench \
+    --bin omnitop -- --demo --check
 fi
 
 # Zero-allocation hot-path gate (single-shard, 2-shard,
@@ -264,16 +204,9 @@ fi
 # must fail over to the standby and finish bit-identical to its clean
 # twin, with max takeover downtime within 4x the committed baseline.
 if [[ "$FAST" -eq 0 ]]; then
-  if command -v timeout >/dev/null 2>&1; then
-    step "failover recovery-time gate (timeout 300s)" \
-      timeout --signal=KILL 300 \
-      cargo run "${CARGO_FLAGS[@]}" --release -p omnireduce-bench \
-      --bin ablation_failover -- --check
-  else
-    step "failover recovery-time gate" \
-      cargo run "${CARGO_FLAGS[@]}" --release -p omnireduce-bench \
-      --bin ablation_failover -- --check
-  fi
+  step_t 300 "failover recovery-time gate" \
+    cargo run "${CARGO_FLAGS[@]}" --release -p omnireduce-bench \
+    --bin ablation_failover -- --check
 fi
 
 # Multi-tenant goodput gate (§15): 1/2/4/8 concurrent tenants over one
@@ -282,16 +215,9 @@ fi
 # regression collapses it), and the 8-tenant p99 round latency must
 # stay within 4x the committed baseline.
 if [[ "$FAST" -eq 0 ]]; then
-  if command -v timeout >/dev/null 2>&1; then
-    step "multitenant goodput gate (timeout 300s)" \
-      timeout --signal=KILL 300 \
-      cargo run "${CARGO_FLAGS[@]}" --release -p omnireduce-bench \
-      --bin ablation_multitenant -- --check
-  else
-    step "multitenant goodput gate" \
-      cargo run "${CARGO_FLAGS[@]}" --release -p omnireduce-bench \
-      --bin ablation_multitenant -- --check
-  fi
+  step_t 300 "multitenant goodput gate" \
+    cargo run "${CARGO_FLAGS[@]}" --release -p omnireduce-bench \
+    --bin ablation_multitenant -- --check
 fi
 
 # Simnet scaling gate (§13): Fig 1/Fig 7 curves at 128..1024 workers on
@@ -302,16 +228,9 @@ fi
 # only on identity — a conservative engine cannot beat sequential
 # without real cores).
 if [[ "$FAST" -eq 0 ]]; then
-  if command -v timeout >/dev/null 2>&1; then
-    step "simnet scaling gate (timeout 300s)" \
-      timeout --signal=KILL 300 \
-      cargo run "${CARGO_FLAGS[@]}" --release -p omnireduce-bench \
-      --bin ablation_simnet_scale -- --check
-  else
-    step "simnet scaling gate" \
-      cargo run "${CARGO_FLAGS[@]}" --release -p omnireduce-bench \
-      --bin ablation_simnet_scale -- --check
-  fi
+  step_t 300 "simnet scaling gate" \
+    cargo run "${CARGO_FLAGS[@]}" --release -p omnireduce-bench \
+    --bin ablation_simnet_scale -- --check
 fi
 
 if cargo fmt --version >/dev/null 2>&1; then
