@@ -195,6 +195,14 @@ pub fn encode(msg: &Message) -> Bytes {
 /// [`crate::pool::BufferPool`].
 pub fn encode_into(msg: &Message, out: &mut Vec<u8>) {
     out.clear();
+    encode_append(msg, out);
+}
+
+/// Encodes `msg` onto the end of `out`, leaving what `out` already holds
+/// in place: a stream transport queues a burst of frames in one buffer
+/// and hands the kernel all of them in one `write` (the TCP endpoint's
+/// per-peer output buffer).
+pub fn encode_append(msg: &Message, out: &mut Vec<u8>) {
     out.reserve(encoded_len(msg));
     match msg {
         Message::Block(p) => {
@@ -845,6 +853,17 @@ mod tests {
         // Decoding again into the now-matching scratch is also exact.
         decode_into(&enc, &mut scratch).unwrap();
         assert_eq!(scratch, msg);
+    }
+
+    #[test]
+    fn encode_append_keeps_what_the_buffer_holds() {
+        let mut out = vec![0xAA, 0xBB];
+        for msg in [sample_block(), sample_checkpoint(), Message::Shutdown] {
+            let at = out.len();
+            encode_append(&msg, &mut out);
+            assert_eq!(&out[at..], encode(&msg).as_ref());
+        }
+        assert_eq!(&out[..2], &[0xAA, 0xBB]);
     }
 
     #[test]

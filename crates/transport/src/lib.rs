@@ -15,7 +15,10 @@
 //!   property tests and by single-process examples.
 //! * [`tcp`] — a real TCP mesh with length-prefixed framing, for running
 //!   workers and aggregators as separate OS processes or threads across
-//!   sockets.
+//!   sockets. No reader threads: each endpoint is a single-owner
+//!   readiness loop over non-blocking sockets, turned from inside
+//!   `recv` / `recv_timeout` by the engine's own thread, and a burst of
+//!   sends leaves in one `write` per peer.
 //! * [`udp`] — a real UDP mesh (one frame per datagram): the commodity
 //!   equivalent of the paper's DPDK environment, for the Algorithm 2
 //!   recovery engines that own their reliability.
@@ -28,6 +31,9 @@
 //! [`Transport::recv_timeout`] and drive their own state machines, in the
 //! style of smoltcp rather than of an async runtime. This keeps hot paths
 //! allocation-light and the whole workspace free of a runtime dependency.
+//! The TCP endpoint takes the style all the way down: the socket I/O
+//! itself happens inside those calls, on the caller's thread (`sys` binds
+//! `ppoll`, the one system call this takes that `std` does not wrap).
 
 pub mod channel;
 pub mod codec;
@@ -36,6 +42,7 @@ pub mod lossy;
 pub mod message;
 pub mod pool;
 pub mod shard;
+mod sys;
 pub mod tcp;
 pub mod timer;
 pub mod udp;
@@ -93,7 +100,9 @@ impl From<codec::CodecError> for TransportError {
 
 /// A bidirectional, message-oriented endpoint belonging to one node of a
 /// fixed mesh. Implementations must be usable from a single protocol
-/// thread; `send` may be called while another thread blocks in `recv`.
+/// thread; where the implementation is `Sync`, `send` may be called while
+/// another thread blocks in `recv`. Every engine owns its endpoint and
+/// drives it from one thread, and [`tcp::TcpTransport`] is not `Sync`.
 pub trait Transport: Send {
     /// This endpoint's node id.
     fn local_id(&self) -> NodeId;

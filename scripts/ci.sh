@@ -95,6 +95,18 @@ step "differential (core conformance, incl. sharded column)" \
 step "differential (workspace engines, per-shard bytes)" \
   cargo test "${CARGO_FLAGS[@]}" -p omnireduce --test differential -q
 
+# TCP transport (§17 readiness loop): the endpoint's contract, one test
+# per line — FIFO across deferred and written-through sends, back-
+# pressure, graceful close, peer isolation, timeout precision, frame
+# reassembly — plus the thread/descriptor leak and hostile-bytes
+# regressions; then the lossless engines over real sockets against the
+# scalar oracle and the channel mesh's counters. A loop that waits for
+# the wrong readiness hangs rather than fails, hence the timeout belt.
+step_t 120 "tcp transport contract" \
+  cargo test "${CARGO_FLAGS[@]}" -p omnireduce-transport --test tcp_contract -q
+step_t 300 "tcp conformance" \
+  cargo test "${CARGO_FLAGS[@]}" -p omnireduce --test tcp_conformance -q
+
 # Flight-recorder suite (§11 observability): chaos runs with the
 # recorder on must stay bit-identical to recorder-off runs, the
 # reconstructor must recover every round, and the seeded straggler /
