@@ -11,8 +11,9 @@
 //! implementation faces the same constraint.
 
 use omnireduce_bench::{micro_bitmaps, omni_config, telemetry, Table, Testbed};
-use omnireduce_core::sim_recovery::{simulate_recovery_allreduce_with_telemetry, SimRtoConfig};
-use omnireduce_simnet::SimTime;
+use std::time::Duration;
+
+use omnireduce_core::sim_recovery::simulate_recovery_allreduce_with_telemetry;
 use omnireduce_tensor::gen::OverlapMode;
 
 const N: usize = 8;
@@ -27,11 +28,12 @@ fn main() {
     let nic = Testbed::Dpdk10.nic();
     let run = |loss: f64, timeout_us: u64| {
         simulate_recovery_allreduce_with_telemetry(
-            &cfg,
+            &cfg.clone()
+                .with_fixed_rto(Duration::from_micros(timeout_us))
+                .with_max_retransmits(1000),
             nic,
             nic,
             loss,
-            SimRtoConfig::fixed(SimTime::from_micros(timeout_us)),
             &bms,
             42,
             Some(telemetry()),

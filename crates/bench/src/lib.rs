@@ -440,13 +440,18 @@ impl Table {
     /// Prints the aligned table to stdout and writes
     /// `results/<slug>.json`.
     pub fn emit(&self, slug: &str) {
+        print!("{}", self.render());
+        self.write_json(slug);
+    }
+
+    /// The aligned table `emit` prints: title, headers, rule, rows.
+    pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
         for row in &self.rows {
             for (w, c) in widths.iter_mut().zip(row) {
                 *w = (*w).max(c.len());
             }
         }
-        println!("\n== {} ==", self.title);
         let line = |cells: &[String]| {
             cells
                 .iter()
@@ -455,15 +460,14 @@ impl Table {
                 .collect::<Vec<_>>()
                 .join("  ")
         };
-        println!("{}", line(&self.headers));
-        println!(
-            "{}",
-            "-".repeat(widths.iter().sum::<usize>() + 2 * widths.len())
-        );
+        let mut out = format!("\n== {} ==\n{}\n", self.title, line(&self.headers));
+        out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * widths.len()));
+        out.push('\n');
         for row in &self.rows {
-            println!("{}", line(row));
+            out.push_str(&line(row));
+            out.push('\n');
         }
-        self.write_json(slug);
+        out
     }
 
     fn write_json(&self, slug: &str) {
@@ -471,6 +475,15 @@ impl Table {
         if std::fs::create_dir_all(dir).is_err() {
             return; // read-only checkout: console output is enough
         }
+        let path = dir.join(format!("{slug}.json"));
+        if let Ok(mut f) = std::fs::File::create(path) {
+            let _ = f.write_all(self.to_json().to_string_pretty().as_bytes());
+        }
+        self.write_telemetry(dir, slug);
+    }
+
+    /// The table as the `results/<slug>.json` document.
+    fn to_json(&self) -> JsonValue {
         let mut dump = JsonValue::obj();
         dump.push("title", JsonValue::Str(self.title.clone()));
         dump.push(
@@ -493,11 +506,7 @@ impl Table {
                     .collect(),
             ),
         );
-        let path = dir.join(format!("{slug}.json"));
-        if let Ok(mut f) = std::fs::File::create(path) {
-            let _ = f.write_all(dump.to_string_pretty().as_bytes());
-        }
-        self.write_telemetry(dir, slug);
+        dump
     }
 
     /// Dumps the process-wide telemetry registry next to the table:
@@ -666,11 +675,18 @@ mod tests {
         assert_eq!(t_rdma, Testbed::Rdma100.copy_floor(elements as u64 * 4));
     }
 
+    /// What `emit` prints and writes, checked without writing into the
+    /// checkout.
     #[test]
     fn table_emits_without_panicking() {
-        let mut t = Table::new("test", &["a", "b"]);
-        t.row(vec!["1".into(), "2".into()]);
-        t.emit("selftest");
+        let mut t = Table::new("test", &["a", "bb"]);
+        t.row(vec!["100".into(), "2".into()]);
+        assert_eq!(t.render(), "\n== test ==\n  a  bb\n---------\n100   2\n");
+        let json = t.to_json().to_string_pretty();
+        assert!(
+            json.contains("\"title\"") && json.contains("\"100\""),
+            "{json}"
+        );
     }
 
     #[test]

@@ -1,5 +1,7 @@
-//! Algorithm 1 as two pure state machines — the only place it is written
-//! down (DESIGN "Protocol core").
+//! Algorithms 1 and 2 as pure state machines — the only place either is
+//! written down (DESIGN "Protocol core").
+//!
+//! Algorithm 1 (lossless):
 //!
 //! * [`WorkerRound`] is the worker half: one `my_next` cursor per
 //!   (stream, column), the unconditional first row, and the rule that
@@ -12,18 +14,37 @@
 //!   global minimum, and the re-arm for the next tensor once every column
 //!   reached ∞ (line 26).
 //!
-//! Neither owns a transport, a simulator context, a clock, a buffer pool
-//! or a telemetry handle, and neither sees a payload. The four drivers —
+//! Algorithm 2 (loss recovery, Appendix A):
+//!
+//! * [`WorkerPhases`] wraps a [`WorkerRound`] with what a lossy network
+//!   adds on the worker: a phase version bit per stream, the outstanding
+//!   packet's timer bookkeeping (first send, Karn's rule, consecutive
+//!   retransmissions), the per-shard RTO policy, and the answer to every
+//!   result entry — data when the request is ours, an ack otherwise.
+//! * [`PhaseTable`] is one shard's half: two versions × columns of
+//!   `{block, min_next}` per owned stream with seen bits, a contribution
+//!   count and the retained-result flag, plus the membership state
+//!   (epoch, evictions, departures, the busy-edge liveness clock). It
+//!   decides what a worker packet is (zombie, stale epoch, duplicate to
+//!   answer or to NACK, fresh), folds it, and completes a phase once every
+//!   member that has not been evicted contributed.
+//!
+//! None of them owns a transport, a simulator context, a clock, a buffer
+//! pool or a telemetry handle, and none sees a payload. The drivers —
 //! [`crate::worker`], [`crate::aggregator`], [`crate::switch`] and the
-//! actors in [`crate::sim`] — keep exactly that: what a block's payload is,
-//! how a packet leaves, and what gets counted. Algorithm 1 has no timers,
-//! so the machines answer through return values and caller-owned scratch;
-//! there is no action vocabulary to interpret. Both are `Clone + Eq +
-//! Hash`: a state-space search can fork and deduplicate them
-//! (`tests/protocol_exhaustive.rs`).
+//! actors in [`crate::sim`] for Algorithm 1; [`crate::recovery`] and the
+//! actors in [`crate::sim_recovery`] for Algorithm 2 — keep exactly that:
+//! what a block's payload is, how a packet leaves, how a timer is armed,
+//! and what gets counted. Time enters as a `u64` of nanoseconds on any
+//! clock the driver likes. The machines answer through return values and
+//! caller-owned scratch; there is no action vocabulary to interpret. All
+//! are `Clone + Eq + Hash`: a state-space search can fork and deduplicate
+//! them (`tests/protocol_exhaustive.rs`, `tests/recovery_exhaustive.rs`).
 
 use omnireduce_tensor::{BlockIdx, NonZeroBitmap, INFINITY_BLOCK};
+use omnireduce_transport::timer::RttEstimator;
 
+use crate::config::OmniConfig;
 use crate::layout::StreamLayout;
 
 /// One entry of a fused packet, minus its payload — the same shape in
@@ -146,6 +167,19 @@ impl WorkerRound {
             col,
             block: requested,
             next,
+        })
+    }
+
+    /// The acknowledgment Algorithm 2 sends where [`WorkerRound::on_result`]
+    /// stayed silent because another worker owns `requested`: "seen
+    /// `requested`, my next is still *n*" (lines 19–21). `None` once the
+    /// column is done.
+    pub fn ack(&self, stream: usize, col: usize, requested: BlockIdx) -> Option<ColEntry> {
+        let i = stream * self.layout.width() + col;
+        (!self.done[i]).then(|| ColEntry {
+            col,
+            block: requested,
+            next: self.my_next[i],
         })
     }
 
@@ -335,6 +369,691 @@ fn complete(cur: BlockIdx, min_next: i64) -> bool {
 
 fn first_or_infinity(layout: &StreamLayout, stream: usize, col: usize) -> BlockIdx {
     layout.first_block(stream, col).unwrap_or(INFINITY_BLOCK)
+}
+
+/// True if membership epoch `a` precedes `b` in wrapping (mod 256)
+/// order. Epochs only ever move forward, one bump per membership
+/// change, so any two live epochs are within half the ring of each
+/// other and the comparison is unambiguous.
+pub fn epoch_before(a: u8, b: u8) -> bool {
+    a != b && b.wrapping_sub(a) < 128
+}
+
+/// One entry of a worker packet in Algorithm 2. Every worker answers
+/// every result for every column still open: with the requested block
+/// when it is its own, with a data-less acknowledgment otherwise.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Reply {
+    /// "Here is `block`; my next non-zero block is `next`."
+    Data(ColEntry),
+    /// "I hold nothing for the requested `block`; my next is still
+    /// `next`."
+    Ack(ColEntry),
+}
+
+/// The unanswered packet of one stream, as its timer sees it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct Outstanding {
+    /// First transmission (RTT sample, time waited so far).
+    sent_at: u64,
+    /// Karn's rule: once resent, the answer is ambiguous and must not
+    /// feed the RTT estimator.
+    retransmitted: bool,
+    /// Consecutive unanswered retransmissions.
+    retx: u32,
+}
+
+/// What a retransmission timer expiry calls for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Expiry {
+    /// Nothing is outstanding on the stream: a stale timer.
+    Idle,
+    /// Resend the outstanding packet and re-arm; `waited` ns since its
+    /// first transmission, the adaptive RTO doubled first if `backoff`.
+    Resend { waited: u64, backoff: bool },
+    /// The retry budget ran out and `shard` has an unused hot standby:
+    /// re-target the shard, then resend every packet outstanding on it
+    /// (their budgets were reset).
+    Failover { shard: usize },
+    /// The retry budget ran out after `retransmits` consecutive resends,
+    /// `waited` ns after the first transmission: the shard is
+    /// unresponsive.
+    GiveUp { retransmits: u32, waited: u64 },
+}
+
+/// The worker side of Algorithm 2 for one worker: a [`WorkerRound`] per
+/// AllReduce plus what loss recovery adds around it, all of which
+/// persists across rounds — the phase version of every stream, the
+/// outstanding packet of every open stream, and the per-shard RTO policy
+/// ([`OmniConfig::adaptive_rto`] / `retransmit_timeout` / `rto_min` /
+/// `rto_max` / `max_retransmits`, with one-shot failover to a hot
+/// standby).
+///
+/// The driver starts each AllReduce with [`WorkerPhases::begin_round`],
+/// opens every active stream, sends each packet it builds and reports it
+/// with [`WorkerPhases::sent`], which returns the RTO to arm. A result
+/// goes to [`WorkerPhases::on_result`], then each of its entries to
+/// [`WorkerPhases::reply`]; a NACK to [`WorkerPhases::on_nack`]; a timer
+/// to [`WorkerPhases::on_timer`].
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct WorkerPhases {
+    round: WorkerRound,
+    layout: StreamLayout,
+    skip_zero: bool,
+    shards: usize,
+    /// Phase version the stream's next result must carry.
+    ver: Vec<u8>,
+    out: Vec<Option<Outstanding>>,
+    /// Per-shard RTT estimator (adaptive mode).
+    rtt: Vec<RttEstimator>,
+    adaptive: bool,
+    fixed_rto: u64,
+    max_retransmits: u32,
+    hot_standby: bool,
+    failed_over: Vec<bool>,
+}
+
+impl WorkerPhases {
+    /// Worker `wid`'s machine for `cfg`; every stream at version 0.
+    pub fn new(cfg: &OmniConfig, wid: usize) -> Self {
+        let layout = StreamLayout::new(
+            cfg.block_spec(),
+            cfg.fusion,
+            cfg.total_streams(),
+            cfg.tensor_len,
+        );
+        let rtt = (0..cfg.num_aggregators)
+            .map(|a| {
+                RttEstimator::new(
+                    cfg.retransmit_timeout,
+                    cfg.rto_min,
+                    cfg.rto_max,
+                    // Deterministic per-(worker, shard) jitter stream.
+                    0x9E37_79B9_7F4A_7C15 ^ ((wid as u64) << 16) ^ a as u64,
+                )
+            })
+            .collect();
+        WorkerPhases {
+            round: WorkerRound::new(layout, cfg.skip_zero_blocks),
+            layout,
+            skip_zero: cfg.skip_zero_blocks,
+            shards: cfg.num_aggregators,
+            ver: vec![0; layout.total_streams()],
+            out: vec![None; layout.total_streams()],
+            rtt,
+            adaptive: cfg.adaptive_rto,
+            fixed_rto: cfg.retransmit_timeout.as_nanos() as u64,
+            max_retransmits: cfg.max_retransmits,
+            hot_standby: cfg.hot_standby,
+            failed_over: vec![false; cfg.num_aggregators],
+        }
+    }
+
+    /// Starts a round with fresh cursors; the driver then opens every
+    /// active stream.
+    pub fn begin_round(&mut self) {
+        self.round = WorkerRound::new(self.layout, self.skip_zero);
+        self.out.fill(None);
+    }
+
+    /// Opens `stream` and emits its first row (all data entries).
+    pub fn open_stream(
+        &mut self,
+        bitmap: &NonZeroBitmap,
+        stream: usize,
+        emit: impl FnMut(ColEntry),
+    ) {
+        self.round.open_stream(bitmap, stream, emit);
+    }
+
+    /// Records that a fresh packet of `stream` left at `now`; returns the
+    /// RTO to arm for it.
+    pub fn sent(&mut self, stream: usize, now: u64) -> u64 {
+        self.out[stream] = Some(Outstanding {
+            sent_at: now,
+            retransmitted: false,
+            retx: 0,
+        });
+        self.rto(self.shard_of(stream))
+    }
+
+    /// The RTO to arm next on `shard`: the adaptive estimate (which
+    /// advances its jitter stream) or the fixed timeout.
+    pub fn rto(&mut self, shard: usize) -> u64 {
+        if self.adaptive {
+            self.rtt[shard].next_rto().as_nanos() as u64
+        } else {
+            self.fixed_rto
+        }
+    }
+
+    /// The shard's smoothed RTT (0 before the first sample).
+    pub fn srtt(&self, shard: usize) -> u64 {
+        self.rtt[shard].srtt().map_or(0, |d| d.as_nanos() as u64)
+    }
+
+    /// A result for `stream` carrying version `ver` arrived at `now`.
+    /// `false`: it is stale (the stream finished, or the phase was
+    /// already answered) — ignore it. `true`: the phase is answered — the
+    /// outstanding packet retires (an RTT sample unless it was resent),
+    /// the version flips, and each entry goes to [`WorkerPhases::reply`].
+    pub fn on_result(&mut self, stream: usize, ver: u8, now: u64) -> bool {
+        if self.round.stream_done(stream) || ver != self.ver[stream] {
+            return false;
+        }
+        let shard = self.shard_of(stream);
+        if self.adaptive {
+            match self.out[stream] {
+                Some(o) if !o.retransmitted => self.rtt[shard].sample(
+                    std::time::Duration::from_nanos(now.saturating_sub(o.sent_at)),
+                ),
+                // Karn's rule: reset the backoff, take no sample.
+                _ => self.rtt[shard].ack(),
+            }
+        }
+        self.out[stream] = None;
+        self.ver[stream] ^= 1;
+        true
+    }
+
+    /// Answers one entry of an accepted result: the aggregator now
+    /// requests `requested` in `col`. Data when the block is ours, an ack
+    /// when another worker owns it, nothing once the column is done.
+    pub fn reply(
+        &mut self,
+        bitmap: &NonZeroBitmap,
+        stream: usize,
+        col: usize,
+        requested: BlockIdx,
+    ) -> Option<Reply> {
+        match self.round.on_result(bitmap, stream, col, requested) {
+            Some(e) => Some(Reply::Data(e)),
+            None => self.round.ack(stream, col, requested).map(Reply::Ack),
+        }
+    }
+
+    /// True once every column of `stream` was told ∞: nothing more to
+    /// send on it this round.
+    pub fn stream_done(&self, stream: usize) -> bool {
+        self.round.stream_done(stream)
+    }
+
+    /// True when every stream of the round is done.
+    pub fn round_done(&self) -> bool {
+        self.round.round_done()
+    }
+
+    /// A NACK for `stream` at version `ver`. `true`: it names the
+    /// outstanding packet — resend it now. Hearing from the shard proves
+    /// it alive, so the retry budget restarts; Karn's rule still holds.
+    pub fn on_nack(&mut self, stream: usize, ver: u8) -> bool {
+        if ver != self.ver[stream] {
+            return false;
+        }
+        match self.out[stream].as_mut() {
+            Some(o) => {
+                o.retx = 0;
+                o.retransmitted = true;
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// The retransmission timer of `stream` expired at `now`.
+    pub fn on_timer(&mut self, stream: usize, now: u64) -> Expiry {
+        let shard = self.shard_of(stream);
+        let Some(o) = self.out[stream] else {
+            return Expiry::Idle;
+        };
+        let waited = now.saturating_sub(o.sent_at);
+        if o.retx >= self.max_retransmits {
+            if self.failover(shard) {
+                return Expiry::Failover { shard };
+            }
+            return Expiry::GiveUp {
+                retransmits: o.retx,
+                waited,
+            };
+        }
+        if self.adaptive {
+            self.rtt[shard].on_timeout();
+        }
+        self.out[stream] = Some(Outstanding {
+            retx: o.retx + 1,
+            retransmitted: true,
+            ..o
+        });
+        Expiry::Resend {
+            waited,
+            backoff: self.adaptive,
+        }
+    }
+
+    /// Re-targets `shard` at its hot standby, once: every packet
+    /// outstanding on it gets a fresh budget. `false` when there is no
+    /// standby or the shard already failed over.
+    pub fn failover(&mut self, shard: usize) -> bool {
+        if !self.hot_standby || self.failed_over[shard] {
+            return false;
+        }
+        self.failed_over[shard] = true;
+        let shards = self.shards;
+        for o in self.out.iter_mut().skip(shard).step_by(shards).flatten() {
+            o.retx = 0;
+            o.retransmitted = true;
+        }
+        true
+    }
+
+    /// True once `shard` failed over to its standby.
+    pub fn failed_over(&self, shard: usize) -> bool {
+        self.failed_over[shard]
+    }
+
+    /// Consecutive retransmissions of `stream`'s outstanding packet;
+    /// `None` when nothing is outstanding (no timer armed).
+    pub fn outstanding(&self, stream: usize) -> Option<u32> {
+        self.out[stream].map(|o| o.retx)
+    }
+
+    /// The version `stream`'s next packet carries.
+    pub fn ver(&self, stream: usize) -> u8 {
+        self.ver[stream]
+    }
+
+    /// Installs a phase cursor handed out by a shard (a `Welcome`).
+    pub fn set_ver(&mut self, stream: usize, ver: u8) {
+        self.ver[stream] = ver & 1;
+    }
+
+    fn shard_of(&self, stream: usize) -> usize {
+        stream % self.shards
+    }
+}
+
+/// One column of one phase version: the block being aggregated (set by
+/// the phase's first entry, data or ack) and the minimum announced next.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct ColPhase {
+    block: Option<BlockIdx>,
+    min_next: BlockIdx,
+}
+
+const FRESH_COL: ColPhase = ColPhase {
+    block: None,
+    min_next: INFINITY_BLOCK,
+};
+
+/// Algorithm 2's two-version slot of one stream (lines 26–29). Version
+/// `v` is reused only once every worker sent for `v̂` — which it does only
+/// after receiving `v`'s result — so a completed result stays retained
+/// exactly as long as a worker may still need it resent.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct VersionedSlot {
+    cols: [Vec<ColPhase>; 2],
+    /// `seen[v][w]`: worker `w` is folded into version `v`'s phase.
+    seen: [Vec<bool>; 2],
+    /// Distinct workers folded into version `v`'s open phase (0 = none
+    /// open).
+    count: [usize; 2],
+    /// Version `v`'s last completed result is still retained.
+    retained: [bool; 2],
+    /// Version of the stream's next fresh phase (handed to joiners).
+    next_ver: u8,
+}
+
+/// What a worker packet is, as [`PhaseTable::on_data`] classified it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Contribution {
+    /// From an evicted worker: its phases were renormalized without it.
+    Zombie,
+    /// Stamped with an epoch older than the sender's admission: a
+    /// rejoined worker's pre-eviction straggler.
+    StaleEpoch,
+    /// Already folded into a completed phase: the sender missed the
+    /// result — resend the retained one to it (lines 47–49).
+    Resend,
+    /// Already folded into a phase still open: it is stalled on the
+    /// workers [`PhaseTable::missing`] names — NACK them.
+    Stalled,
+    /// A fresh contribution: [`PhaseTable::fold`] each entry, then try
+    /// [`PhaseTable::complete`]. `opened` says it is the phase's first
+    /// (the driver resets its accumulators and retires the old result).
+    Fresh { opened: bool },
+}
+
+/// What [`PhaseTable::complete`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Completion {
+    /// Some member that is still needed has not contributed.
+    Pending,
+    /// Every member contributed; the row is the result.
+    Complete,
+    /// Complete without one or more evicted workers' contributions.
+    Degraded,
+}
+
+/// The aggregator side of Algorithm 2 for one shard: a [`VersionedSlot`]
+/// per owned stream, and the shard's view of membership — epoch, each
+/// worker's admission epoch, evicted and departed workers, and the
+/// liveness clock that starts on the idle→busy edge.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct PhaseTable {
+    num_workers: usize,
+    /// Stream id → slot index (`usize::MAX` = not ours).
+    slot_of: Vec<usize>,
+    slots: Vec<VersionedSlot>,
+    epoch: u8,
+    /// Epoch at which each worker (last) became a member.
+    member_epoch: Vec<u8>,
+    evicted: Vec<bool>,
+    departed: Vec<bool>,
+    /// Some phase is in flight (set by the first accepted packet after a
+    /// fully idle period, which restarts every liveness clock).
+    busy: bool,
+    last_heard: Vec<u64>,
+}
+
+impl PhaseTable {
+    /// Slots for the streams in `owned` (ascending), all versions idle,
+    /// every worker a member at epoch 0 last heard at time 0.
+    pub fn new(
+        layout: StreamLayout,
+        owned: impl IntoIterator<Item = usize>,
+        num_workers: usize,
+    ) -> Self {
+        let mut slot_of = vec![usize::MAX; layout.total_streams()];
+        let mut owned_count = 0;
+        for (slot, g) in owned.into_iter().enumerate() {
+            slot_of[g] = slot;
+            owned_count += 1;
+        }
+        let cols = vec![FRESH_COL; layout.width()];
+        let seen = vec![false; num_workers];
+        let slot = VersionedSlot {
+            cols: [cols.clone(), cols],
+            seen: [seen.clone(), seen],
+            count: [0; 2],
+            retained: [false; 2],
+            next_ver: 0,
+        };
+        PhaseTable {
+            num_workers,
+            slot_of,
+            slots: vec![slot; owned_count],
+            epoch: 0,
+            member_epoch: vec![0; num_workers],
+            evicted: vec![false; num_workers],
+            departed: vec![false; num_workers],
+            busy: false,
+            last_heard: vec![0; num_workers],
+        }
+    }
+
+    /// Classifies worker `wid`'s packet for version `ver` of `stream`,
+    /// stamped `epoch`, arriving at `now`, and records a fresh one as a
+    /// contribution (seen bit, count, the other version's bit cleared).
+    pub fn on_data(
+        &mut self,
+        wid: usize,
+        stream: usize,
+        ver: u8,
+        epoch: u8,
+        now: u64,
+    ) -> Contribution {
+        if self.evicted[wid] {
+            return Contribution::Zombie;
+        }
+        self.last_heard[wid] = now;
+        if epoch_before(epoch, self.member_epoch[wid]) {
+            return Contribution::StaleEpoch;
+        }
+        if !self.busy {
+            // Silence while nobody owed anything must not count.
+            self.busy = true;
+            self.refresh(now);
+        }
+        let v = (ver & 1) as usize;
+        let slot = &mut self.slots[self.slot_of[stream]];
+        if slot.seen[v][wid] {
+            let answer = if slot.count[v] == 0 {
+                debug_assert!(slot.retained[v], "completed phase without a result");
+                Contribution::Resend
+            } else {
+                Contribution::Stalled
+            };
+            // A trailing duplicate opened no work: do not stay busy.
+            self.busy = !self.fully_idle();
+            return answer;
+        }
+        slot.seen[v][wid] = true;
+        slot.seen[v ^ 1][wid] = false;
+        slot.count[v] += 1;
+        let opened = slot.count[v] == 1;
+        if opened {
+            slot.cols[v].fill(FRESH_COL);
+            slot.retained[v] = false;
+        }
+        Contribution::Fresh { opened }
+    }
+
+    /// Folds one entry of a fresh contribution. Acks record the requested
+    /// block too: a phase whose every surviving contributor acked (the
+    /// worker that requested the block was evicted mid-phase) must still
+    /// advance the column instead of dropping it from the result.
+    pub fn fold(&mut self, stream: usize, ver: u8, entry: Reply) {
+        let (Reply::Data(e) | Reply::Ack(e)) = entry;
+        let cp = &mut self.slots[self.slot_of[stream]].cols[(ver & 1) as usize][e.col];
+        match cp.block {
+            None => cp.block = Some(e.block),
+            Some(b) => debug_assert_eq!(b, e.block, "phase mixes blocks"),
+        }
+        cp.min_next = cp.min_next.min(e.next);
+    }
+
+    /// Completes version `ver` of `stream` if every worker it still needs
+    /// contributed (line 42, renormalized past evicted workers): fills
+    /// `row` with `(col, block, min next)` per column of the result,
+    /// retains it, and forgets evicted workers' seen bits so the
+    /// version's next phase does not wait for them. Otherwise leaves the
+    /// table untouched and `row` empty.
+    pub fn complete(&mut self, stream: usize, ver: u8, row: &mut Vec<ColEntry>) -> Completion {
+        row.clear();
+        let v = (ver & 1) as usize;
+        let i = self.slot_of[stream];
+        let needed = self.needed(i, v);
+        let slot = &mut self.slots[i];
+        if slot.count[v] == 0 || slot.count[v] < needed {
+            return Completion::Pending;
+        }
+        slot.count[v] = 0;
+        slot.retained[v] = true;
+        slot.next_ver = (v ^ 1) as u8;
+        for (col, cp) in slot.cols[v].iter().enumerate() {
+            if let Some(block) = cp.block {
+                row.push(ColEntry {
+                    col,
+                    block,
+                    next: cp.min_next,
+                });
+            }
+        }
+        for (seen, &evicted) in slot.seen[v].iter_mut().zip(&self.evicted) {
+            *seen &= !evicted;
+        }
+        if self.fully_idle() {
+            self.busy = false;
+        }
+        if needed < self.num_workers {
+            Completion::Degraded
+        } else {
+            Completion::Complete
+        }
+    }
+
+    /// Contributions version `v` of slot `i` needs: every worker but the
+    /// evicted ones that have not contributed to it.
+    fn needed(&self, i: usize, v: usize) -> usize {
+        let seen = &self.slots[i].seen[v];
+        let missing_evicted = (0..self.num_workers)
+            .filter(|&w| self.evicted[w] && !seen[w])
+            .count();
+        self.num_workers - missing_evicted
+    }
+
+    /// True if some phase in flight lacks worker `w`'s contribution.
+    pub fn waiting_on(&self, w: usize) -> bool {
+        self.slots
+            .iter()
+            .any(|s| (0..2).any(|v| s.count[v] > 0 && !s.seen[v][w]))
+    }
+
+    /// True when no phase of any owned stream is in flight — the round
+    /// boundary at which membership may change.
+    pub fn fully_idle(&self) -> bool {
+        self.slots.iter().all(|s| s.count == [0, 0])
+    }
+
+    /// Members the open phase of version `ver` of `stream` still lacks:
+    /// the workers a stalled phase NACKs.
+    pub fn missing(&self, stream: usize, ver: u8) -> impl Iterator<Item = usize> + '_ {
+        let seen = &self.slots[self.slot_of[stream]].seen[(ver & 1) as usize];
+        (0..self.num_workers).filter(move |&w| !seen[w] && self.is_member(w))
+    }
+
+    /// Workers folded into version `ver` of `stream` (after a completion:
+    /// the contributors that survived it).
+    pub fn contributors(&self, stream: usize, ver: u8) -> impl Iterator<Item = usize> + '_ {
+        let seen = &self.slots[self.slot_of[stream]].seen[(ver & 1) as usize];
+        (0..self.num_workers).filter(move |&w| seen[w])
+    }
+
+    /// The first member the shard waits on that has been silent for
+    /// longer than `timeout` at `now`, with its silence.
+    pub fn overdue(&self, now: u64, timeout: u64) -> Option<(usize, u64)> {
+        (0..self.num_workers).find_map(|w| {
+            let idle = now.saturating_sub(self.last_heard[w]);
+            (self.is_member(w) && idle > timeout && self.waiting_on(w)).then_some((w, idle))
+        })
+    }
+
+    /// Evicts worker `w` and bumps the epoch. Idle versions forget its
+    /// seen bit; phases in flight may now be complete without it — the
+    /// driver offers each to [`PhaseTable::complete`].
+    pub fn evict(&mut self, w: usize) {
+        self.evicted[w] = true;
+        self.advance_epoch();
+        for slot in &mut self.slots {
+            for v in 0..2 {
+                if slot.count[v] == 0 {
+                    slot.seen[v][w] = false;
+                }
+            }
+        }
+    }
+
+    /// Makes `w` a member again as of `epoch` (an admission, or its
+    /// replica on a standby): not evicted, not departed, no seen bits.
+    pub fn admit(&mut self, w: usize, epoch: u8, now: u64) {
+        self.evicted[w] = false;
+        self.departed[w] = false;
+        self.member_epoch[w] = epoch;
+        self.last_heard[w] = now;
+        for slot in &mut self.slots {
+            slot.seen[0][w] = false;
+            slot.seen[1][w] = false;
+        }
+    }
+
+    /// Worker `w` said goodbye (ignored unless it is a member).
+    pub fn depart(&mut self, w: usize, now: u64) {
+        if w < self.num_workers && self.is_member(w) {
+            self.departed[w] = true;
+            self.last_heard[w] = now;
+        }
+    }
+
+    /// Installs a completed phase replicated from the primary: version
+    /// `ver` of `stream` retained, folded from exactly `members`.
+    pub fn install(&mut self, stream: usize, ver: u8, members: impl IntoIterator<Item = usize>) {
+        let v = (ver & 1) as usize;
+        let slot = &mut self.slots[self.slot_of[stream]];
+        slot.count[v] = 0;
+        slot.retained[v] = true;
+        slot.next_ver = (v ^ 1) as u8;
+        slot.seen[v].fill(false);
+        for w in members {
+            slot.seen[v][w] = true;
+            slot.seen[v ^ 1][w] = false;
+        }
+    }
+
+    /// Worker `w` was heard from at `now`.
+    pub fn heard(&mut self, w: usize, now: u64) {
+        self.last_heard[w] = now;
+    }
+
+    /// Restarts every worker's liveness clock at `now`.
+    pub fn refresh(&mut self, now: u64) {
+        self.last_heard.fill(now);
+    }
+
+    /// Some phase is in flight (the liveness clock is running).
+    pub fn busy(&self) -> bool {
+        self.busy
+    }
+
+    /// Every worker departed or was evicted: the shard may stop.
+    pub fn finished(&self) -> bool {
+        (0..self.num_workers).all(|w| !self.is_member(w))
+    }
+
+    /// Neither departed nor evicted: results go to it.
+    pub fn is_member(&self, w: usize) -> bool {
+        !self.departed[w] && !self.evicted[w]
+    }
+
+    /// Evicted (and not re-admitted).
+    pub fn is_evicted(&self, w: usize) -> bool {
+        self.evicted[w]
+    }
+
+    /// Marks `w` evicted or not without renormalizing (a replicated
+    /// membership set).
+    pub fn set_evicted(&mut self, w: usize, evicted: bool) {
+        self.evicted[w] = evicted;
+    }
+
+    /// The shard's membership epoch.
+    pub fn epoch(&self) -> u8 {
+        self.epoch
+    }
+
+    /// Bumps the epoch for a membership change; returns the new one.
+    pub fn advance_epoch(&mut self) -> u8 {
+        self.epoch = self.epoch.wrapping_add(1);
+        self.epoch
+    }
+
+    /// Adopts a replicated epoch if it is newer; `true` if it was.
+    pub fn adopt_epoch(&mut self, epoch: u8) -> bool {
+        let newer = epoch_before(self.epoch, epoch);
+        if newer {
+            self.epoch = epoch;
+        }
+        newer
+    }
+
+    /// Owned streams, ascending.
+    pub fn owned(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.slot_of.len()).filter(|&g| self.slot_of[g] != usize::MAX)
+    }
+
+    /// Version of `stream`'s next fresh phase.
+    pub fn next_ver(&self, stream: usize) -> u8 {
+        self.slots[self.slot_of[stream]].next_ver
+    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,10 @@
 //! Loss-recovery engines (Algorithm 2, Appendix A): OmniReduce over a
 //! network that may drop or duplicate packets.
 //!
-//! Differences from the lossless engines:
+//! The protocol itself lives in [`crate::protocol`]: [`WorkerPhases`]
+//! decides what a worker answers to a result, a NACK or a timer, and
+//! [`PhaseTable`] decides what an aggregator shard does with a worker
+//! packet and when a phase completes. In short:
 //!
 //! * **Everyone always answers.** Each worker responds to every result
 //!   packet for every active column — with block data when it owns the
@@ -9,18 +12,16 @@
 //!   aggregator can use a per-phase *count of distinct workers* as the
 //!   completion condition instead of the min-next comparison.
 //! * **Timers.** A worker arms a retransmission timer for every packet it
-//!   sends and resends on expiry; receiving the matching result cancels
-//!   the timer.
-//! * **Two-phase versioned slots.** The aggregator keeps two versions of
-//!   every slot's state, used in alternating phases. Version `v` is only
-//!   reused once every worker has sent a packet for version `v̂` — which a
-//!   worker does only after receiving version `v`'s result — so a
-//!   completed result stays available for retransmission exactly as long
-//!   as any worker might still need it.
-//! * **Dedup.** A per-version `seen` bit per worker keeps duplicated or
-//!   retransmitted packets from being aggregated twice; a duplicate for a
-//!   *completed* phase triggers a unicast retransmission of that phase's
-//!   result to the sender (the aggregator-side loss repair).
+//!   sends and resends on expiry (or at once on a NACK); receiving the
+//!   matching result cancels the timer.
+//! * **Two-phase versioned slots** retain a completed result exactly as
+//!   long as a worker may need it resent, and per-version **seen bits**
+//!   keep duplicates from being aggregated twice.
+//!
+//! This module is the driver around those machines: block payloads
+//! ([`ColAccumulator`] per column, pooled [`Message`]s), the
+//! [`Transport`], hot-standby checkpoints, `Join`/`Welcome` admission,
+//! the `core.recovery.*` counters and the flight lane.
 //!
 //! Delivery assumption: like the paper's DPDK deployment, the network may
 //! drop or duplicate packets but does not reorder packets between a given
@@ -31,8 +32,8 @@ use std::time::{Duration, Instant};
 use omnireduce_telemetry::{
     Counter, FlightEventKind, FlightLane, Gauge, Histogram, LaneRole, Telemetry, NO_BLOCK,
 };
-use omnireduce_tensor::{BlockIdx, NonZeroBitmap, Tensor, INFINITY_BLOCK};
-use omnireduce_transport::timer::{RttEstimator, TimerQueue};
+use omnireduce_tensor::{NonZeroBitmap, Tensor};
+use omnireduce_transport::timer::TimerQueue;
 use omnireduce_transport::{
     codec, BufferPool, CheckpointDelta, Entry, Message, NodeId, Packet, PacketKind, Transport,
     TransportError, MEMBERSHIP_ONLY,
@@ -40,15 +41,10 @@ use omnireduce_transport::{
 
 use crate::config::{DegradedMode, OmniConfig};
 use crate::error::ProtocolError;
-
-/// True if membership epoch `a` precedes `b` in wrapping (mod 256)
-/// order. Epochs only ever move forward, one bump per membership
-/// change, so any two live epochs are within half the ring of each
-/// other and the comparison is unambiguous.
-pub(crate) fn epoch_before(a: u8, b: u8) -> bool {
-    a != b && b.wrapping_sub(a) < 128
-}
 use crate::layout::StreamLayout;
+use crate::protocol::{
+    epoch_before, ColEntry, Completion, Contribution, Expiry, PhaseTable, Reply, WorkerPhases,
+};
 use crate::slot::ColAccumulator;
 use crate::wire::{decode_next, encode_next};
 
@@ -110,41 +106,26 @@ struct RecoveryCounters {
 }
 
 impl RecoveryCounters {
-    fn detached() -> Self {
+    /// Registered in `telemetry` as `core.recovery.*`, or detached.
+    fn new(telemetry: Option<&Telemetry>) -> Self {
+        let name = |n: &str| format!("core.recovery.{n}");
+        let counter = |n: &str| telemetry.map_or_else(Counter::detached, |t| t.counter(&name(n)));
+        let gauge = |n: &str| telemetry.map(|t| t.gauge(&name(n))).unwrap_or_default();
         RecoveryCounters {
-            packets_sent: Counter::detached(),
-            retransmissions: Counter::detached(),
-            bytes_sent: Counter::detached(),
-            blocks_sent: Counter::detached(),
-            timer_fires: Counter::detached(),
-            stale_results_ignored: Counter::detached(),
-            backoffs: Counter::detached(),
-            peer_unresponsive: Counter::detached(),
-            solicited_retransmissions: Counter::detached(),
-            failovers: Counter::detached(),
-            shutdown_errors: Counter::detached(),
-            rto: Histogram::detached(),
-            rto_ns: Gauge::default(),
-            srtt_ns: Gauge::default(),
-        }
-    }
-
-    fn registered(telemetry: &Telemetry) -> Self {
-        RecoveryCounters {
-            packets_sent: telemetry.counter("core.recovery.packets_sent"),
-            retransmissions: telemetry.counter("core.recovery.retransmissions"),
-            bytes_sent: telemetry.counter("core.recovery.bytes_sent"),
-            blocks_sent: telemetry.counter("core.recovery.blocks_sent"),
-            timer_fires: telemetry.counter("core.recovery.timer_fires"),
-            stale_results_ignored: telemetry.counter("core.recovery.stale_results_ignored"),
-            backoffs: telemetry.counter("core.recovery.backoffs"),
-            peer_unresponsive: telemetry.counter("core.recovery.peer_unresponsive"),
-            solicited_retransmissions: telemetry.counter("core.recovery.solicited_retransmissions"),
-            failovers: telemetry.counter("core.recovery.failovers"),
-            shutdown_errors: telemetry.counter("core.recovery.shutdown_errors"),
-            rto: telemetry.histogram("core.recovery.rto"),
-            rto_ns: telemetry.gauge("core.recovery.rto_ns"),
-            srtt_ns: telemetry.gauge("core.recovery.srtt_ns"),
+            packets_sent: counter("packets_sent"),
+            retransmissions: counter("retransmissions"),
+            bytes_sent: counter("bytes_sent"),
+            blocks_sent: counter("blocks_sent"),
+            timer_fires: counter("timer_fires"),
+            stale_results_ignored: counter("stale_results_ignored"),
+            backoffs: counter("backoffs"),
+            peer_unresponsive: counter("peer_unresponsive"),
+            solicited_retransmissions: counter("solicited_retransmissions"),
+            failovers: counter("failovers"),
+            shutdown_errors: counter("shutdown_errors"),
+            rto: telemetry.map_or_else(Histogram::detached, |t| t.histogram(&name("rto"))),
+            rto_ns: gauge("rto_ns"),
+            srtt_ns: gauge("srtt_ns"),
         }
     }
 }
@@ -163,29 +144,22 @@ fn first_block(msg: &Message) -> u64 {
     }
 }
 
-struct WorkerCol {
-    my_next: BlockIdx,
-    done: bool,
+/// A data entry carrying block `e.block` of `tensor` in a pooled buffer.
+fn data_entry(pool: &mut BufferPool, tensor: &Tensor, layout: &StreamLayout, e: ColEntry) -> Entry {
+    let mut data = pool.checkout_f32();
+    data.extend_from_slice(&tensor[layout.block_range(e.block)]);
+    Entry::data(e.block, encode_next(e.next, e.col, layout.width()), data)
 }
 
-/// The packet a worker is waiting to see answered on one stream.
-struct Outstanding {
-    msg: Message,
-    /// When the packet was first sent (for RTT sampling and for the
-    /// `elapsed` field of [`ProtocolError::PeerUnresponsive`]).
-    sent_at: Instant,
-    /// Karn's rule: once a packet has been retransmitted, its eventual
-    /// answer is ambiguous and must not feed the RTT estimator.
-    retransmitted: bool,
-    /// Consecutive unanswered retransmissions of this packet.
-    retx: u32,
-}
-
-struct WorkerStream {
-    cols: Vec<Option<WorkerCol>>,
-    remaining: usize,
-    /// Last packet sent; retransmitted on timeout.
-    outstanding: Option<Outstanding>,
+/// Why an outstanding packet goes out again.
+#[derive(Clone, Copy)]
+enum ResendCause {
+    /// The shard NACKed it: alive, but missing our contribution.
+    Nack,
+    /// The shard failed over: the standby gets every outstanding packet.
+    Failover,
+    /// Its timer expired `waited` ns after the first transmission.
+    Timer { waited: u64 },
 }
 
 /// Worker engine with Algorithm 2 loss recovery.
@@ -200,17 +174,14 @@ pub struct RecoveryWorker<T: Transport> {
     /// Per-shard aggregator target node. Starts at the primary and is
     /// re-pointed at the hot standby on failover.
     agg: Vec<u16>,
-    /// Per-shard: already failed over to the standby (one failover per
-    /// shard per run — a dead standby is fatal).
-    failed_over: Vec<bool>,
     /// Per-shard failover start, pending the first post-failover
     /// result (`FailoverBegin`..`FailoverEnd` downtime window).
     failover_at: Vec<Option<Instant>>,
-    /// Per-stream protocol phase, persists across AllReduce rounds.
-    ver: Vec<u8>,
-    /// Per-shard RTT estimator (adaptive mode); persists across rounds
-    /// so later rounds start from a converged RTO.
-    rtt: Vec<RttEstimator>,
+    /// The protocol: cursors, phase versions, timers' bookkeeping and the
+    /// RTO policy. Persists across AllReduce rounds.
+    phases: WorkerPhases,
+    /// Origin of the nanosecond clock the machine is fed.
+    clock: Instant,
     stats: RecoveryStats,
     /// Wire bytes sent per destination shard (index = shard), so
     /// multi-aggregator deployments can account each shard's traffic
@@ -245,42 +216,24 @@ impl<T: Transport> RecoveryWorker<T> {
             cfg.total_streams(),
             cfg.tensor_len,
         );
-        let ver = vec![0u8; layout.total_streams()];
-        let rtt = (0..cfg.num_aggregators)
-            .map(|a| {
-                RttEstimator::new(
-                    cfg.retransmit_timeout,
-                    cfg.rto_min,
-                    cfg.rto_max,
-                    // Deterministic per-(worker, shard) jitter stream.
-                    0x9E37_79B9_7F4A_7C15 ^ ((wid as u64) << 16) ^ a as u64,
-                )
-            })
-            .collect();
-        let pool = BufferPool::for_block_size(cfg.block_size);
-        let shard_bytes = vec![0; cfg.num_aggregators];
-        let agg = (0..cfg.num_aggregators)
-            .map(|a| cfg.aggregator_node(a))
-            .collect();
-        let failed_over = vec![false; cfg.num_aggregators];
-        let failover_at = vec![None; cfg.num_aggregators];
         RecoveryWorker {
             transport,
-            cfg,
             layout,
             wid,
             epoch: 0,
-            agg,
-            failed_over,
-            failover_at,
-            ver,
-            rtt,
+            agg: (0..cfg.num_aggregators)
+                .map(|a| cfg.aggregator_node(a))
+                .collect(),
+            failover_at: vec![None; cfg.num_aggregators],
+            phases: WorkerPhases::new(&cfg, wid as usize),
+            clock: Instant::now(),
             stats: RecoveryStats::default(),
-            shard_bytes,
-            counters: RecoveryCounters::detached(),
+            shard_bytes: vec![0; cfg.num_aggregators],
+            counters: RecoveryCounters::new(None),
             flight: FlightLane::disabled(),
             rounds: 0,
-            pool,
+            pool: BufferPool::for_block_size(cfg.block_size),
+            cfg,
         }
     }
 
@@ -290,7 +243,7 @@ impl<T: Transport> RecoveryWorker<T> {
     /// recorder is enabled.
     pub fn with_telemetry(transport: T, cfg: OmniConfig, telemetry: &Telemetry) -> Self {
         let mut w = Self::new(transport, cfg);
-        w.counters = RecoveryCounters::registered(telemetry);
+        w.counters = RecoveryCounters::new(Some(telemetry));
         w.flight = telemetry
             .flight()
             .lane(&format!("worker{}", w.wid), LaneRole::Worker, w.wid);
@@ -308,24 +261,18 @@ impl<T: Transport> RecoveryWorker<T> {
         &self.shard_bytes
     }
 
-    /// The RTO to arm for the next packet to `shard`: adaptive
-    /// (SRTT/RTTVAR with backoff and jitter) or the fixed configured
-    /// timeout. Recorded into the `core.recovery.rto` histogram (µs).
-    fn next_rto(&mut self, shard: usize) -> Duration {
-        let rto = if self.cfg.adaptive_rto {
-            self.rtt[shard].next_rto()
-        } else {
-            self.cfg.retransmit_timeout
-        };
-        self.counters.rto.record(rto.as_micros() as u64);
-        self.counters.rto_ns.set(rto.as_nanos() as u64);
-        self.counters.srtt_ns.set(
-            self.rtt[shard]
-                .srtt()
-                .map(|d| d.as_nanos() as u64)
-                .unwrap_or(0),
-        );
-        rto
+    fn now_ns(&self) -> u64 {
+        self.clock.elapsed().as_nanos() as u64
+    }
+
+    /// Publishes an RTO the machine chose for `shard` — the
+    /// `core.recovery.rto` histogram (µs), the `rto_ns` / `srtt_ns`
+    /// gauges — and returns it as a duration to arm.
+    fn publish_rto(&self, shard: usize, rto_ns: u64) -> Duration {
+        self.counters.rto.record(rto_ns / 1_000);
+        self.counters.rto_ns.set(rto_ns);
+        self.counters.srtt_ns.set(self.phases.srtt(shard));
+        Duration::from_nanos(rto_ns)
     }
 
     /// Runs one AllReduce with loss recovery.
@@ -341,50 +288,21 @@ impl<T: Transport> RecoveryWorker<T> {
             .record(FlightEventKind::RoundStart, round, NO_BLOCK, 0, self.wid, 0);
         let encode_t0 = self.flight.now_ns();
         let bitmap = NonZeroBitmap::build(tensor, self.cfg.block_spec());
-        let skip = self.cfg.skip_zero_blocks;
         let layout = self.layout;
-        let width = layout.width();
 
-        let mut streams: Vec<Option<WorkerStream>> =
-            (0..layout.total_streams()).map(|_| None).collect();
+        // The packet each open stream waits to see answered, resent
+        // verbatim on a NACK, a failover or a timer.
+        let mut sent: Vec<Option<Message>> = (0..layout.total_streams()).map(|_| None).collect();
         let mut timers: TimerQueue<usize> = TimerQueue::new();
-        let mut pending = 0usize;
 
+        self.phases.begin_round();
         for g in layout.active_streams() {
-            let mut cols: Vec<Option<WorkerCol>> = Vec::with_capacity(width);
             let mut entries = self.pool.checkout_entries();
-            let mut remaining = 0usize;
-            for c in 0..width {
-                match layout.first_block(g, c) {
-                    Some(b0) => {
-                        let my_next = layout.next_block(&bitmap, g, c, Some(b0), skip);
-                        let mut data = self.pool.checkout_f32();
-                        data.extend_from_slice(&tensor[layout.block_range(b0)]);
-                        entries.push(Entry::data(b0, encode_next(my_next, c, width), data));
-                        cols.push(Some(WorkerCol {
-                            my_next,
-                            done: false,
-                        }));
-                        remaining += 1;
-                    }
-                    None => cols.push(None),
-                }
-            }
-            let msg = self.make_packet(g, entries);
-            self.send_tracked(g, &msg)?;
-            let rto = self.next_rto(self.cfg.shard_of_stream(g));
-            timers.arm(g, Instant::now(), rto);
-            streams[g] = Some(WorkerStream {
-                cols,
-                remaining,
-                outstanding: Some(Outstanding {
-                    msg,
-                    sent_at: Instant::now(),
-                    retransmitted: false,
-                    retx: 0,
-                }),
+            let pool = &mut self.pool;
+            self.phases.open_stream(&bitmap, g, |e| {
+                entries.push(data_entry(pool, tensor, &layout, e));
             });
-            pending += 1;
+            self.send_fresh(g, entries, &mut sent, &mut timers)?;
         }
         self.flight.record(
             FlightEventKind::Encode,
@@ -395,186 +313,19 @@ impl<T: Transport> RecoveryWorker<T> {
             self.flight.now_ns().saturating_sub(encode_t0),
         );
 
-        while pending > 0 {
-            let now = Instant::now();
-            let timeout = timers.until_next(now).unwrap_or(Duration::from_secs(3600));
+        while !self.phases.round_done() {
+            let timeout = timers
+                .until_next(Instant::now())
+                .unwrap_or(Duration::from_secs(3600));
             match self.transport.recv_timeout(timeout)? {
                 Some((_, Message::Block(p))) if p.kind == PacketKind::Result => {
-                    let g = p.slot as usize;
-                    let shard = self.cfg.shard_of_stream(g);
-                    // Any result reveals the group's current epoch;
-                    // adopt it before the staleness checks so even a
-                    // duplicate result keeps us current.
-                    if epoch_before(self.epoch, p.epoch) {
-                        self.epoch = p.epoch;
-                        self.flight.record(
-                            FlightEventKind::EpochChange,
-                            round,
-                            NO_BLOCK,
-                            shard as u16,
-                            self.wid,
-                            p.epoch as u64,
-                        );
-                    }
-                    self.flight.record(
-                        FlightEventKind::ResultRx,
-                        round,
-                        NO_BLOCK,
-                        shard as u16,
-                        self.wid,
-                        p.entries.len() as u64,
-                    );
-                    let Some(state) = streams[g].as_mut() else {
-                        // Stale result for a finished stream.
-                        self.stats.stale_results_ignored += 1;
-                        self.counters.stale_results_ignored.inc();
-                        continue;
-                    };
-                    if p.ver != self.ver[g] {
-                        // Duplicate of an already-processed phase.
-                        self.stats.stale_results_ignored += 1;
-                        self.counters.stale_results_ignored.inc();
-                        continue;
-                    }
-                    timers.cancel(&g);
-                    // First valid result after a failover: the standby
-                    // answered, the shard has recovered. aux = downtime.
-                    if let Some(t0) = self.failover_at[shard].take() {
-                        self.flight.record(
-                            FlightEventKind::FailoverEnd,
-                            round,
-                            NO_BLOCK,
-                            shard as u16,
-                            self.wid,
-                            t0.elapsed().as_nanos() as u64,
-                        );
-                    }
-                    if self.cfg.adaptive_rto {
-                        match &state.outstanding {
-                            Some(o) if !o.retransmitted => {
-                                self.rtt[shard].sample(o.sent_at.elapsed());
-                            }
-                            // Karn's rule: an answer to a retransmitted
-                            // packet is ambiguous — reset the backoff
-                            // but contribute no RTT sample.
-                            _ => self.rtt[shard].ack(),
-                        }
-                    }
-                    // Phase advances: the answered packet's buffers come
-                    // back to the pool before the reply is built.
-                    if let Some(o) = state.outstanding.take() {
-                        self.pool.recycle_message(o.msg);
-                    }
-                    self.ver[g] ^= 1;
-                    let mut reply = self.pool.checkout_entries();
-                    for entry in &p.entries {
-                        let (col, requested) = decode_next(entry.next, width);
-                        if !entry.data.is_empty() {
-                            tensor
-                                .copy_slice_at(layout.block_range(entry.block).start, &entry.data);
-                        }
-                        let cs = state.cols[col].as_mut().expect("invalid column");
-                        if cs.done {
-                            continue;
-                        }
-                        if requested == INFINITY_BLOCK {
-                            cs.done = true;
-                            state.remaining -= 1;
-                            continue;
-                        }
-                        if cs.my_next == requested {
-                            let new_next =
-                                layout.next_block(&bitmap, g, col, Some(requested), skip);
-                            let mut data = self.pool.checkout_f32();
-                            data.extend_from_slice(&tensor[layout.block_range(requested)]);
-                            reply.push(Entry::data(
-                                requested,
-                                encode_next(new_next, col, width),
-                                data,
-                            ));
-                            cs.my_next = new_next;
-                        } else {
-                            // Data-less acknowledgment (Algorithm 2 l.19–21).
-                            reply.push(Entry::ack(requested, encode_next(cs.my_next, col, width)));
-                        }
-                    }
-                    if state.remaining == 0 {
-                        debug_assert!(reply.is_empty(), "reply for a finished stream");
-                        self.pool.checkin_entries(reply);
-                        streams[g] = None;
-                        pending -= 1;
-                    } else {
-                        let msg = self.make_packet(g, reply);
-                        self.send_tracked(g, &msg)?;
-                        let rto = self.next_rto(self.cfg.shard_of_stream(g));
-                        timers.arm(g, Instant::now(), rto);
-                        streams[g].as_mut().unwrap().outstanding = Some(Outstanding {
-                            msg,
-                            sent_at: Instant::now(),
-                            retransmitted: false,
-                            retx: 0,
-                        });
-                    }
+                    self.on_result(p, tensor, &bitmap, &mut sent, &mut timers)?;
                 }
                 Some((_, Message::Block(p))) if p.kind == PacketKind::Nack => {
-                    // Solicited retransmission: the shard is alive but
-                    // missing our contribution to this phase — resend
-                    // immediately instead of waiting for our timer.
                     let g = p.slot as usize;
-                    let Some(state) = streams[g].as_mut() else {
-                        continue; // finished stream: stale NACK
-                    };
-                    if p.ver != self.ver[g] {
-                        continue; // previous phase: stale NACK
+                    if self.phases.on_nack(g, p.ver) {
+                        self.resend(g, ResendCause::Nack, &sent, &mut timers)?;
                     }
-                    let Some(o) = state.outstanding.as_mut() else {
-                        continue;
-                    };
-                    // Hearing from the shard proves it is alive: the
-                    // "consecutive unanswered" budget restarts. Karn's
-                    // rule still applies (the eventual answer must not
-                    // feed the estimator).
-                    o.retx = 0;
-                    o.retransmitted = true;
-                    let wire_bytes = codec::encoded_len(&o.msg) as u64;
-                    self.stats.retransmissions += 1;
-                    self.stats.solicited_retransmissions += 1;
-                    self.stats.bytes_sent += wire_bytes;
-                    self.counters.retransmissions.inc();
-                    self.counters.solicited_retransmissions.inc();
-                    self.counters.bytes_sent.add(wire_bytes);
-                    let shard = self.cfg.shard_of_stream(g);
-                    self.shard_bytes[shard] += wire_bytes;
-                    let block = first_block(&o.msg);
-                    self.flight.record(
-                        FlightEventKind::NackRx,
-                        round,
-                        block,
-                        shard as u16,
-                        self.wid,
-                        0,
-                    );
-                    self.flight.record(
-                        FlightEventKind::SolicitedResend,
-                        round,
-                        block,
-                        shard as u16,
-                        self.wid,
-                        wire_bytes,
-                    );
-                    // Re-keyed PacketTx so the aggregator's eventual rx
-                    // pairs with this resend, not the lost original.
-                    self.flight.record(
-                        FlightEventKind::PacketTx,
-                        round,
-                        block,
-                        shard as u16,
-                        self.wid,
-                        wire_bytes,
-                    );
-                    self.transport.send(NodeId(self.agg[shard]), &o.msg)?;
-                    let rto = self.next_rto(shard);
-                    timers.arm(g, Instant::now(), rto);
                 }
                 Some((_, Message::Welcome { epoch, .. })) => {
                     // An unsolicited `Welcome` mid-collective carrying a
@@ -592,146 +343,50 @@ impl<T: Transport> RecoveryWorker<T> {
                 }
                 Some(_) => {} // ignore anything else
                 None => {
-                    // Timer expiry: retransmit outstanding packets,
-                    // within the retry budget.
                     let now = Instant::now();
                     while let Some(g) = timers.pop_expired(now) {
                         self.stats.timer_fires += 1;
                         self.counters.timer_fires.inc();
                         let shard = self.cfg.shard_of_stream(g);
-                        let Some(state) = streams[g].as_mut() else {
-                            continue;
-                        };
-                        let Some(o) = state.outstanding.as_mut() else {
-                            continue;
-                        };
-                        if o.retx >= self.cfg.max_retransmits {
-                            if self.cfg.hot_standby && !self.failed_over[shard] {
-                                // Retry budget exhausted but the shard
-                                // has a hot standby: re-target it,
-                                // reset every outstanding packet's
-                                // budget on this shard, and resend them
-                                // all to the standby (DESIGN §12). The
-                                // standby answers from its replicated
+                        match self.phases.on_timer(g, self.now_ns()) {
+                            Expiry::Idle => {}
+                            Expiry::Resend { waited, backoff } => {
+                                if backoff {
+                                    self.stats.backoffs += 1;
+                                    self.counters.backoffs.inc();
+                                }
+                                self.resend(g, ResendCause::Timer { waited }, &sent, &mut timers)?;
+                            }
+                            Expiry::Failover { shard } => {
+                                // The standby answers from its replicated
                                 // state: completed phases with the
                                 // retained result, in-flight phases by
-                                // re-aggregating the retransmissions.
-                                let old = self.agg[shard];
-                                self.agg[shard] = self.cfg.standby_node(shard);
-                                self.failed_over[shard] = true;
-                                self.failover_at[shard] = Some(Instant::now());
-                                self.stats.failovers += 1;
-                                self.counters.failovers.inc();
-                                self.flight.record(
-                                    FlightEventKind::FailoverBegin,
-                                    round,
-                                    NO_BLOCK,
-                                    shard as u16,
-                                    old,
-                                    0,
-                                );
-                                for (g2, slot2) in streams.iter_mut().enumerate() {
-                                    if self.cfg.shard_of_stream(g2) != shard {
-                                        continue;
+                                // re-aggregating the resends (DESIGN §12).
+                                self.retarget(shard);
+                                for g2 in (shard..layout.total_streams())
+                                    .step_by(self.cfg.num_aggregators)
+                                {
+                                    if self.phases.outstanding(g2).is_some() {
+                                        self.resend(g2, ResendCause::Failover, &sent, &mut timers)?;
                                     }
-                                    let Some(st2) = slot2.as_mut() else {
-                                        continue;
-                                    };
-                                    let Some(o2) = st2.outstanding.as_mut() else {
-                                        continue;
-                                    };
-                                    o2.retx = 0;
-                                    o2.retransmitted = true;
-                                    let wire_bytes = codec::encoded_len(&o2.msg) as u64;
-                                    self.stats.retransmissions += 1;
-                                    self.stats.bytes_sent += wire_bytes;
-                                    self.counters.retransmissions.inc();
-                                    self.counters.bytes_sent.add(wire_bytes);
-                                    self.shard_bytes[shard] += wire_bytes;
-                                    let block = first_block(&o2.msg);
-                                    self.flight.record(
-                                        FlightEventKind::Retransmit,
-                                        round,
-                                        block,
-                                        shard as u16,
-                                        self.wid,
-                                        wire_bytes,
-                                    );
-                                    self.flight.record(
-                                        FlightEventKind::PacketTx,
-                                        round,
-                                        block,
-                                        shard as u16,
-                                        self.wid,
-                                        wire_bytes,
-                                    );
-                                    self.transport.send(NodeId(self.agg[shard]), &o2.msg)?;
-                                    let rto = if self.cfg.adaptive_rto {
-                                        self.rtt[shard].next_rto()
-                                    } else {
-                                        self.cfg.retransmit_timeout
-                                    };
-                                    self.counters.rto.record(rto.as_micros() as u64);
-                                    timers.arm(g2, now, rto);
                                 }
-                                continue;
                             }
-                            // Retry budget exhausted: the shard's
-                            // aggregator (and standby, if any) is
-                            // unresponsive. Fail fast instead of
-                            // retransmitting forever.
-                            self.counters.peer_unresponsive.inc();
-                            return Err(ProtocolError::PeerUnresponsive {
-                                peer: self.agg[shard],
-                                stream: g,
-                                retransmits: o.retx,
-                                elapsed: o.sent_at.elapsed(),
-                            });
+                            Expiry::GiveUp {
+                                retransmits,
+                                waited,
+                            } => {
+                                // The shard's aggregator (and standby, if
+                                // any) is unresponsive: fail fast instead
+                                // of retransmitting forever.
+                                self.counters.peer_unresponsive.inc();
+                                return Err(ProtocolError::PeerUnresponsive {
+                                    peer: self.agg[shard],
+                                    stream: g,
+                                    retransmits,
+                                    elapsed: Duration::from_nanos(waited),
+                                });
+                            }
                         }
-                        if self.cfg.adaptive_rto {
-                            self.rtt[shard].on_timeout();
-                            self.stats.backoffs += 1;
-                            self.counters.backoffs.inc();
-                        }
-                        o.retx += 1;
-                        o.retransmitted = true;
-                        let wire_bytes = codec::encoded_len(&o.msg) as u64;
-                        self.stats.retransmissions += 1;
-                        self.stats.bytes_sent += wire_bytes;
-                        self.counters.retransmissions.inc();
-                        self.counters.bytes_sent.add(wire_bytes);
-                        self.shard_bytes[shard] += wire_bytes;
-                        let block = first_block(&o.msg);
-                        // aux = time burnt waiting on this packet so
-                        // far — the recovery-overhead component.
-                        self.flight.record(
-                            FlightEventKind::RtoFire,
-                            round,
-                            block,
-                            shard as u16,
-                            self.wid,
-                            o.sent_at.elapsed().as_nanos() as u64,
-                        );
-                        self.flight.record(
-                            FlightEventKind::Retransmit,
-                            round,
-                            block,
-                            shard as u16,
-                            self.wid,
-                            wire_bytes,
-                        );
-                        self.flight.record(
-                            FlightEventKind::PacketTx,
-                            round,
-                            block,
-                            shard as u16,
-                            self.wid,
-                            wire_bytes,
-                        );
-                        self.transport
-                            .send(NodeId(self.cfg.aggregator_node(shard)), &o.msg)?;
-                        let rto = self.next_rto(shard);
-                        timers.arm(g, now, rto);
                     }
                 }
             }
@@ -742,27 +397,115 @@ impl<T: Transport> RecoveryWorker<T> {
         Ok(())
     }
 
-    fn make_packet(&self, stream: usize, entries: Vec<Entry>) -> Message {
-        Message::Block(Packet {
+    /// Handles a result packet: adopts its epoch, hands a fresh phase to
+    /// the machine, copies the aggregated blocks into `tensor`, and sends
+    /// the stream's reply unless it just finished.
+    fn on_result(
+        &mut self,
+        p: Packet,
+        tensor: &mut Tensor,
+        bitmap: &NonZeroBitmap,
+        sent: &mut [Option<Message>],
+        timers: &mut TimerQueue<usize>,
+    ) -> Result<(), TransportError> {
+        let round = self.rounds as u32;
+        let g = p.slot as usize;
+        let shard = self.cfg.shard_of_stream(g);
+        // Any result reveals the group's current epoch; adopt it before
+        // the staleness check so even a duplicate result keeps us current.
+        if epoch_before(self.epoch, p.epoch) {
+            self.epoch = p.epoch;
+            self.flight.record(
+                FlightEventKind::EpochChange,
+                round,
+                NO_BLOCK,
+                shard as u16,
+                self.wid,
+                p.epoch as u64,
+            );
+        }
+        self.flight.record(
+            FlightEventKind::ResultRx,
+            round,
+            NO_BLOCK,
+            shard as u16,
+            self.wid,
+            p.entries.len() as u64,
+        );
+        if !self.phases.on_result(g, p.ver, self.now_ns()) {
+            // A finished stream's, or an already-answered phase's.
+            self.stats.stale_results_ignored += 1;
+            self.counters.stale_results_ignored.inc();
+            return Ok(());
+        }
+        timers.cancel(&g);
+        // First valid result after a failover: the standby answered, the
+        // shard has recovered. aux = downtime.
+        if let Some(t0) = self.failover_at[shard].take() {
+            self.flight.record(
+                FlightEventKind::FailoverEnd,
+                round,
+                NO_BLOCK,
+                shard as u16,
+                self.wid,
+                t0.elapsed().as_nanos() as u64,
+            );
+        }
+        // The answered packet's buffers come back to the pool before the
+        // reply is built.
+        if let Some(msg) = sent[g].take() {
+            self.pool.recycle_message(msg);
+        }
+        let layout = self.layout;
+        let width = layout.width();
+        let mut reply = self.pool.checkout_entries();
+        for entry in &p.entries {
+            let (col, requested) = decode_next(entry.next, width);
+            if !entry.is_ack() {
+                tensor.copy_slice_at(layout.block_range(entry.block).start, &entry.data);
+            }
+            match self.phases.reply(bitmap, g, col, requested) {
+                Some(Reply::Data(e)) => reply.push(data_entry(&mut self.pool, tensor, &layout, e)),
+                Some(Reply::Ack(e)) => {
+                    reply.push(Entry::ack(e.block, encode_next(e.next, col, width)));
+                }
+                None => {}
+            }
+        }
+        if self.phases.stream_done(g) {
+            debug_assert!(reply.is_empty(), "reply for a finished stream");
+            self.pool.checkin_entries(reply);
+            return Ok(());
+        }
+        self.send_fresh(g, reply, sent, timers)
+    }
+
+    /// Sends a new packet of `stream` and arms its timer.
+    fn send_fresh(
+        &mut self,
+        stream: usize,
+        entries: Vec<Entry>,
+        sent: &mut [Option<Message>],
+        timers: &mut TimerQueue<usize>,
+    ) -> Result<(), TransportError> {
+        let msg = Message::Block(Packet {
             kind: PacketKind::Data,
-            ver: self.ver[stream],
+            ver: self.phases.ver(stream),
             slot: stream as u16,
             stream: self.cfg.stream_id,
             wid: self.wid,
             epoch: self.epoch,
             entries,
-        })
-    }
-
-    fn send_tracked(&mut self, stream: usize, msg: &Message) -> Result<(), TransportError> {
-        if let Message::Block(p) = msg {
-            let blocks = p.entries.iter().filter(|e| !e.is_ack()).count() as u64;
-            self.stats.blocks_sent += blocks;
-            self.counters.blocks_sent.add(blocks);
-        }
-        let wire_bytes = codec::encoded_len(msg) as u64;
+        });
+        let blocks = match &msg {
+            Message::Block(p) => p.entries.iter().filter(|e| !e.is_ack()).count() as u64,
+            _ => unreachable!(),
+        };
+        let wire_bytes = codec::encoded_len(&msg) as u64;
+        self.stats.blocks_sent += blocks;
         self.stats.packets_sent += 1;
         self.stats.bytes_sent += wire_bytes;
+        self.counters.blocks_sent.add(blocks);
         self.counters.packets_sent.inc();
         self.counters.bytes_sent.add(wire_bytes);
         let shard = self.cfg.shard_of_stream(stream);
@@ -772,12 +515,82 @@ impl<T: Transport> RecoveryWorker<T> {
         self.flight.record(
             FlightEventKind::PacketTx,
             self.rounds as u32,
-            first_block(msg),
+            first_block(&msg),
             shard as u16,
             self.wid,
             wire_bytes,
         );
-        self.transport.send(NodeId(self.agg[shard]), msg)
+        self.transport.send(NodeId(self.agg[shard]), &msg)?;
+        let rto = self.phases.sent(stream, self.now_ns());
+        timers.arm(stream, Instant::now(), self.publish_rto(shard, rto));
+        sent[stream] = Some(msg);
+        Ok(())
+    }
+
+    /// Resends `stream`'s outstanding packet to the shard's current
+    /// target and re-arms its timer — the one path NACKs, failovers and
+    /// timers share.
+    fn resend(
+        &mut self,
+        stream: usize,
+        cause: ResendCause,
+        sent: &[Option<Message>],
+        timers: &mut TimerQueue<usize>,
+    ) -> Result<(), TransportError> {
+        let msg = sent[stream].as_ref().expect("outstanding packet");
+        let shard = self.cfg.shard_of_stream(stream);
+        let wire_bytes = codec::encoded_len(msg) as u64;
+        self.stats.retransmissions += 1;
+        self.stats.bytes_sent += wire_bytes;
+        self.counters.retransmissions.inc();
+        self.counters.bytes_sent.add(wire_bytes);
+        self.shard_bytes[shard] += wire_bytes;
+        let round = self.rounds as u32;
+        let block = first_block(msg);
+        let record = |kind, aux| {
+            self.flight
+                .record(kind, round, block, shard as u16, self.wid, aux)
+        };
+        match cause {
+            ResendCause::Nack => {
+                self.stats.solicited_retransmissions += 1;
+                self.counters.solicited_retransmissions.inc();
+                record(FlightEventKind::NackRx, 0);
+                record(FlightEventKind::SolicitedResend, wire_bytes);
+            }
+            ResendCause::Failover => record(FlightEventKind::Retransmit, wire_bytes),
+            ResendCause::Timer { waited } => {
+                // aux = time burnt waiting on this packet so far — the
+                // recovery-overhead component.
+                record(FlightEventKind::RtoFire, waited);
+                record(FlightEventKind::Retransmit, wire_bytes);
+            }
+        }
+        // Re-keyed PacketTx so the aggregator's eventual rx pairs with
+        // this resend, not the lost original.
+        record(FlightEventKind::PacketTx, wire_bytes);
+        self.transport.send(NodeId(self.agg[shard]), msg)?;
+        let rto = self.phases.rto(shard);
+        timers.arm(stream, Instant::now(), self.publish_rto(shard, rto));
+        Ok(())
+    }
+
+    /// Points `shard` at its hot standby once the machine decided to fail
+    /// over.
+    fn retarget(&mut self, shard: usize) {
+        let old = self.agg[shard];
+        self.agg[shard] = self.cfg.standby_node(shard);
+        self.failover_at[shard] = Some(Instant::now());
+        self.stats.failovers += 1;
+        self.counters.failovers.inc();
+        self.flight.record(
+            FlightEventKind::FailoverBegin,
+            self.rounds as u32,
+            NO_BLOCK,
+            shard as u16,
+            old,
+            0,
+        );
     }
 
     /// Negotiates (re)admission with every shard: sends `Join` and
@@ -813,7 +626,8 @@ impl<T: Transport> RecoveryWorker<T> {
         let mut retx: u32 = 0;
         loop {
             self.transport.send(NodeId(self.agg[shard]), &msg)?;
-            let rto = self.next_rto(shard);
+            let rto = self.phases.rto(shard);
+            let rto = self.publish_rto(shard, rto);
             let deadline = Instant::now() + rto;
             loop {
                 let now = Instant::now();
@@ -839,15 +653,10 @@ impl<T: Transport> RecoveryWorker<T> {
                         // Install the shard's phase cursors so our next
                         // data packet lands in the phase the group will
                         // actually run next.
-                        let mut k = 0usize;
-                        for g in 0..self.layout.total_streams() {
-                            if self.cfg.shard_of_stream(g) != shard {
-                                continue;
-                            }
-                            if let Some(&v) = vers.get(k) {
-                                self.ver[g] = v & 1;
-                            }
-                            k += 1;
+                        let owned =
+                            (shard..self.layout.total_streams()).step_by(self.cfg.num_aggregators);
+                        for (g, &v) in owned.zip(&vers) {
+                            self.phases.set_ver(g, v);
                         }
                         return Ok(());
                     }
@@ -859,21 +668,8 @@ impl<T: Transport> RecoveryWorker<T> {
             }
             retx += 1;
             if retx > self.cfg.max_retransmits {
-                if self.cfg.hot_standby && !self.failed_over[shard] {
-                    let old = self.agg[shard];
-                    self.agg[shard] = self.cfg.standby_node(shard);
-                    self.failed_over[shard] = true;
-                    self.failover_at[shard] = Some(Instant::now());
-                    self.stats.failovers += 1;
-                    self.counters.failovers.inc();
-                    self.flight.record(
-                        FlightEventKind::FailoverBegin,
-                        self.rounds as u32,
-                        NO_BLOCK,
-                        shard as u16,
-                        old,
-                        0,
-                    );
+                if self.phases.failover(shard) {
+                    self.retarget(shard);
                     retx = 0;
                     continue;
                 }
@@ -900,7 +696,7 @@ impl<T: Transport> RecoveryWorker<T> {
         let mut first_err = None;
         for a in 0..self.cfg.num_aggregators {
             let mut targets = vec![self.agg[a]];
-            if self.cfg.hot_standby && !self.failed_over[a] {
+            if self.cfg.hot_standby && !self.phases.failed_over(a) {
                 targets.push(self.cfg.standby_node(a));
             }
             for t in targets {
@@ -917,52 +713,6 @@ impl<T: Transport> RecoveryWorker<T> {
             None => Ok(()),
         }
     }
-}
-
-/// Per-column, per-version aggregation state.
-#[derive(Clone)]
-struct ColPhase {
-    /// Block accumulator (arrival-order, or deterministic §7 worker-id
-    /// order). Buffers are allocated once and reused in place across
-    /// phases — DESIGN §9.
-    acc: ColAccumulator,
-    block: Option<BlockIdx>,
-    min_next: i64,
-}
-
-impl ColPhase {
-    fn new(num_workers: usize, deterministic: bool) -> Self {
-        ColPhase {
-            acc: ColAccumulator::new(num_workers, deterministic),
-            block: None,
-            min_next: i64::MAX,
-        }
-    }
-
-    /// Rearms the column for a new phase, keeping every buffer.
-    fn reset(&mut self) {
-        self.acc.reset();
-        self.block = None;
-        self.min_next = i64::MAX;
-    }
-}
-
-/// Per-stream versioned slot (Algorithm 2 lines 26–29).
-struct VersionedSlot {
-    /// Per-version, per-column phase state.
-    cols: [Vec<ColPhase>; 2],
-    /// seen[v][wid]: worker's packet for version v already aggregated.
-    seen: [Vec<bool>; 2],
-    /// Distinct workers aggregated in version v's current phase.
-    count: [usize; 2],
-    /// Completed result packet per version, kept for retransmission.
-    result: [Option<Message>; 2],
-    /// When version v's current phase opened (its first accepted
-    /// contribution). Later contributions' lateness relative to this
-    /// feeds the per-worker `contrib_delay_ns` histograms the straggler
-    /// detector watches. Only maintained when those histograms are
-    /// registered.
-    first_arrival: [Option<Instant>; 2],
 }
 
 /// Loss-path counters of the recovery aggregator.
@@ -1022,41 +772,49 @@ struct RecoveryAggCounters {
 }
 
 impl RecoveryAggCounters {
-    fn detached() -> Self {
+    /// Registered in `telemetry` as `core.recovery.agg.*` for
+    /// `num_workers` workers, or detached.
+    fn new(telemetry: Option<&Telemetry>, num_workers: usize) -> Self {
+        let counter = |n: &str| {
+            telemetry.map_or_else(Counter::detached, |t| {
+                t.counter(&format!("core.recovery.agg.{n}"))
+            })
+        };
         RecoveryAggCounters {
-            results_sent: Counter::detached(),
-            result_retransmissions: Counter::detached(),
-            duplicates_ignored: Counter::detached(),
-            evictions: Counter::detached(),
-            degraded_completions: Counter::detached(),
-            nacks_sent: Counter::detached(),
-            stale_epoch_dropped: Counter::detached(),
-            joins_admitted: Counter::detached(),
-            checkpoints_sent: Counter::detached(),
-            checkpoints_applied: Counter::detached(),
-            contrib_delay: Vec::new(),
+            results_sent: counter("results_sent"),
+            result_retransmissions: counter("result_retransmissions"),
+            duplicates_ignored: counter("duplicates_ignored"),
+            evictions: counter("evictions"),
+            degraded_completions: counter("degraded_completions"),
+            nacks_sent: counter("nacks_sent"),
+            stale_epoch_dropped: counter("stale_epoch_dropped"),
+            joins_admitted: counter("joins_admitted"),
+            checkpoints_sent: counter("checkpoints_sent"),
+            checkpoints_applied: counter("checkpoints_applied"),
+            contrib_delay: telemetry.map_or_else(Vec::new, |t| {
+                (0..num_workers)
+                    .map(|w| t.histogram(&format!("core.recovery.agg.worker.{w}.contrib_delay_ns")))
+                    .collect()
+            }),
         }
     }
+}
 
-    fn registered(telemetry: &Telemetry, num_workers: usize) -> Self {
-        RecoveryAggCounters {
-            results_sent: telemetry.counter("core.recovery.agg.results_sent"),
-            result_retransmissions: telemetry.counter("core.recovery.agg.result_retransmissions"),
-            duplicates_ignored: telemetry.counter("core.recovery.agg.duplicates_ignored"),
-            evictions: telemetry.counter("core.recovery.agg.evictions"),
-            degraded_completions: telemetry.counter("core.recovery.agg.degraded_completions"),
-            nacks_sent: telemetry.counter("core.recovery.agg.nacks_sent"),
-            stale_epoch_dropped: telemetry.counter("core.recovery.agg.stale_epoch_dropped"),
-            joins_admitted: telemetry.counter("core.recovery.agg.joins_admitted"),
-            checkpoints_sent: telemetry.counter("core.recovery.agg.checkpoints_sent"),
-            checkpoints_applied: telemetry.counter("core.recovery.agg.checkpoints_applied"),
-            contrib_delay: (0..num_workers)
-                .map(|w| {
-                    telemetry.histogram(&format!("core.recovery.agg.worker.{w}.contrib_delay_ns"))
-                })
-                .collect(),
-        }
-    }
+/// Block payloads of one owned stream, per phase version, beside its
+/// [`PhaseTable`] slot.
+struct SlotPayload {
+    /// Per-column accumulators (arrival-order, or deterministic §7
+    /// worker-id order). Buffers are allocated once and reused in place
+    /// across phases — DESIGN §9.
+    acc: [Vec<ColAccumulator>; 2],
+    /// The retained result packet, for retransmission.
+    result: [Option<Message>; 2],
+    /// When the version's current phase opened (its first accepted
+    /// contribution). Later contributions' lateness relative to this
+    /// feeds the per-worker `contrib_delay_ns` histograms the straggler
+    /// detector watches. Only maintained when those histograms are
+    /// registered.
+    first_arrival: [Option<Instant>; 2],
 }
 
 /// Aggregator engine with Algorithm 2 loss recovery.
@@ -1073,33 +831,16 @@ pub struct RecoveryAggregator<T: Transport> {
     /// Primaries are active from the start; a standby activates on its
     /// first data packet.
     active: bool,
-    /// Current membership epoch; bumped on every eviction and admission.
-    epoch: u8,
-    /// Per-worker admission epoch: the epoch at which the worker (last)
-    /// became a member. Data packets stamped with an older epoch are a
-    /// rejoined worker's pre-eviction stragglers and are dropped.
-    member_epoch: Vec<u8>,
-    /// Per-stream phase cursor: the version the *next* fresh phase of
-    /// the stream will run (handed to joiners in `Welcome`).
-    next_ver: Vec<u8>,
+    /// The protocol: phase slots and membership.
+    table: PhaseTable,
+    /// Payloads per stream (`None` = not owned by this shard).
+    payload: Vec<Option<SlotPayload>>,
+    /// Scratch for a completed row.
+    row: Vec<ColEntry>,
     /// Join requests deferred to the next full-idle round boundary.
     pending_joins: Vec<u16>,
-    /// Whether any phase is currently in flight. The idle→busy edge
-    /// (first accepted packet of a round) refreshes every worker's
-    /// liveness clock: eviction measures silence *while the group is
-    /// waiting*, so idle time between rounds must not count against a
-    /// worker that simply had nothing to send yet.
-    busy: bool,
-    slots: Vec<Option<VersionedSlot>>,
-    /// Workers that sent `Shutdown` (finished; excluded from multicasts).
-    departed: Vec<bool>,
-    goodbyes: usize,
-    /// Workers evicted for unresponsiveness (packets dropped, excluded
-    /// from multicasts and from phase-completion counts).
-    evicted: Vec<bool>,
-    evicted_count: usize,
-    /// Last time each worker was heard from (data or shutdown).
-    last_heard: Vec<Instant>,
+    /// Origin of the nanosecond clock the machine is fed.
+    clock: Instant,
     /// Loss-path counters.
     pub stats: RecoveryAggregatorStats,
     counters: RecoveryAggCounters,
@@ -1133,48 +874,33 @@ impl<T: Transport> RecoveryAggregator<T> {
             cfg.tensor_len,
         );
         let n = cfg.num_workers;
-        let width = layout.width();
-        let slots = (0..layout.total_streams())
+        let owned = (shard..layout.total_streams()).step_by(cfg.num_aggregators);
+        let acc = vec![ColAccumulator::new(n, cfg.deterministic); layout.width()];
+        let payload = (0..layout.total_streams())
             .map(|g| {
-                (cfg.shard_of_stream(g) == shard).then(|| VersionedSlot {
-                    cols: [
-                        vec![ColPhase::new(n, cfg.deterministic); width],
-                        vec![ColPhase::new(n, cfg.deterministic); width],
-                    ],
-                    seen: [vec![false; n], vec![false; n]],
-                    count: [0, 0],
+                (cfg.shard_of_stream(g) == shard).then(|| SlotPayload {
+                    acc: [acc.clone(), acc.clone()],
                     result: [None, None],
                     first_arrival: [None, None],
                 })
             })
             .collect();
-        let departed = vec![false; cfg.num_workers];
-        let evicted = vec![false; cfg.num_workers];
-        let last_heard = vec![Instant::now(); cfg.num_workers];
-        let pool = BufferPool::for_block_size(cfg.block_size);
-        let num_streams = layout.total_streams();
         RecoveryAggregator {
             transport,
-            cfg,
             layout,
             shard,
             standby,
             active: !standby,
-            epoch: 0,
-            member_epoch: vec![0; n],
-            next_ver: vec![0; num_streams],
+            table: PhaseTable::new(layout, owned, n),
+            payload,
+            row: Vec::with_capacity(layout.width()),
             pending_joins: Vec::new(),
-            busy: false,
-            slots,
-            departed,
-            goodbyes: 0,
-            evicted,
-            evicted_count: 0,
-            last_heard,
+            clock: Instant::now(),
             stats: RecoveryAggregatorStats::default(),
-            counters: RecoveryAggCounters::detached(),
+            counters: RecoveryAggCounters::new(None, cfg.num_workers),
             flight: FlightLane::disabled(),
-            pool,
+            pool: BufferPool::for_block_size(cfg.block_size),
+            cfg,
         }
     }
 
@@ -1184,7 +910,7 @@ impl<T: Transport> RecoveryAggregator<T> {
     /// registry's flight recorder is enabled.
     pub fn with_telemetry(transport: T, cfg: OmniConfig, telemetry: &Telemetry) -> Self {
         let mut a = Self::new(transport, cfg);
-        a.counters = RecoveryAggCounters::registered(telemetry, a.cfg.num_workers);
+        a.counters = RecoveryAggCounters::new(Some(telemetry), a.cfg.num_workers);
         let lane_name = if a.standby {
             format!("standby{}", a.shard)
         } else {
@@ -1196,6 +922,10 @@ impl<T: Transport> RecoveryAggregator<T> {
         a.pool =
             BufferPool::for_block_size(a.cfg.block_size).with_telemetry("recovery_agg", telemetry);
         a
+    }
+
+    fn now_ns(&self) -> u64 {
+        self.clock.elapsed().as_nanos() as u64
     }
 
     /// Serves until every worker says `Shutdown` or has been evicted.
@@ -1212,10 +942,7 @@ impl<T: Transport> RecoveryAggregator<T> {
         // path.
         let tick = (self.cfg.worker_eviction_timeout / 4)
             .clamp(Duration::from_millis(1), Duration::from_millis(100));
-        let now = Instant::now();
-        for t in self.last_heard.iter_mut() {
-            *t = now;
-        }
+        self.table.refresh(self.now_ns());
         loop {
             if let Some((from, msg)) = self.transport.recv_timeout(tick)? {
                 match msg {
@@ -1225,14 +952,7 @@ impl<T: Transport> RecoveryAggregator<T> {
                         // start the eviction clocks fresh.
                         if self.standby && !self.active {
                             self.active = true;
-                            let now = Instant::now();
-                            for t in self.last_heard.iter_mut() {
-                                *t = now;
-                            }
-                        }
-                        let wid = p.wid as usize;
-                        if wid < self.last_heard.len() {
-                            self.last_heard[wid] = Instant::now();
+                            self.table.refresh(self.now_ns());
                         }
                         self.handle_data(p)?;
                     }
@@ -1244,12 +964,7 @@ impl<T: Transport> RecoveryAggregator<T> {
                     Message::Shutdown => {
                         // Finished worker: stop multicasting to it (its
                         // endpoint may already be gone).
-                        let w = from.index();
-                        if w < self.departed.len() && !self.departed[w] && !self.evicted[w] {
-                            self.departed[w] = true;
-                            self.goodbyes += 1;
-                            self.last_heard[w] = Instant::now();
-                        }
+                        self.table.depart(from.index(), self.now_ns());
                     }
                     _ => {} // tolerate anything else on a lossy fabric
                 }
@@ -1258,36 +973,45 @@ impl<T: Transport> RecoveryAggregator<T> {
                 self.try_admissions()?;
             }
             self.sweep_evictions()?;
-            if self.goodbyes + self.evicted_count == self.cfg.num_workers {
+            if self.table.finished() {
                 return Ok(());
             }
         }
-    }
-
-    /// True when no phase of any owned slot is in flight — the
-    /// round-boundary condition under which membership may change.
-    fn fully_idle(&self) -> bool {
-        self.slots
-            .iter()
-            .flatten()
-            .all(|slot| slot.count[0] == 0 && slot.count[1] == 0)
     }
 
     /// The per-stream phase cursors handed to joiners: for each owned
     /// stream in ascending order, the version its next fresh phase will
     /// run.
     fn ver_cursors(&self) -> Vec<u8> {
-        (0..self.layout.total_streams())
-            .filter(|&g| self.cfg.shard_of_stream(g) == self.shard)
-            .map(|g| self.next_ver[g])
-            .collect()
+        self.table.owned().map(|g| self.table.next_ver(g)).collect()
+    }
+
+    /// A result or NACK for version `v` of stream `g`, stamped with the
+    /// shard's epoch.
+    fn shard_packet(&self, kind: PacketKind, g: usize, v: usize, entries: Vec<Entry>) -> Message {
+        Message::Block(Packet {
+            kind,
+            ver: v as u8,
+            slot: g as u16,
+            stream: self.cfg.stream_id,
+            wid: u16::MAX,
+            epoch: self.table.epoch(),
+            entries,
+        })
     }
 
     fn evicted_wids(&self) -> Vec<u16> {
         (0..self.cfg.num_workers)
-            .filter(|&w| self.evicted[w])
+            .filter(|&w| self.table.is_evicted(w))
             .map(|w| w as u16)
             .collect()
+    }
+
+    fn welcome(&self) -> Message {
+        Message::Welcome {
+            epoch: self.table.epoch(),
+            vers: self.ver_cursors(),
+        }
     }
 
     /// Replicates a checkpoint delta to this shard's hot standby
@@ -1315,6 +1039,19 @@ impl<T: Transport> RecoveryAggregator<T> {
         )
     }
 
+    /// Replicates the current membership, naming `members` as the
+    /// workers just (re)admitted.
+    fn replicate_membership(&mut self, members: Vec<u16>) -> Result<(), TransportError> {
+        self.replicate(CheckpointDelta {
+            epoch: self.table.epoch(),
+            slot: MEMBERSHIP_ONLY,
+            ver: 0,
+            members,
+            evicted: self.evicted_wids(),
+            entries: Vec::new(),
+        })
+    }
+
     /// Handles a worker's `Join`. A current member gets an immediate
     /// idempotent `Welcome`; an evicted (or departed) worker is queued
     /// and admitted at the next full-idle round boundary.
@@ -1323,21 +1060,17 @@ impl<T: Transport> RecoveryAggregator<T> {
         if w >= self.cfg.num_workers {
             return Ok(());
         }
-        self.last_heard[w] = Instant::now();
-        if !self.evicted[w] && !self.departed[w] && !self.pending_joins.contains(&wid) {
-            // Already a member: a startup join, or a retry racing its
-            // own admission. Answer with the current state.
-            let welcome = Message::Welcome {
-                epoch: self.epoch,
-                vers: self.ver_cursors(),
-            };
-            return crate::wire::send_best_effort(
-                &self.transport,
-                NodeId(self.cfg.worker_node(w)),
-                &welcome,
-            );
-        }
+        self.table.heard(w, self.now_ns());
         if !self.pending_joins.contains(&wid) {
+            if self.table.is_member(w) {
+                // Already a member: a startup join, or a retry racing its
+                // own admission. Answer with the current state.
+                return crate::wire::send_best_effort(
+                    &self.transport,
+                    NodeId(self.cfg.worker_node(w)),
+                    &self.welcome(),
+                );
+            }
             self.pending_joins.push(wid);
         }
         self.try_admissions()
@@ -1346,40 +1079,22 @@ impl<T: Transport> RecoveryAggregator<T> {
     /// Admits every queued joiner if the shard is at a full-idle round
     /// boundary (no phase of any slot in flight).
     fn try_admissions(&mut self) -> Result<(), TransportError> {
-        if self.pending_joins.is_empty() || !self.fully_idle() {
+        if self.pending_joins.is_empty() || !self.table.fully_idle() {
             return Ok(());
         }
-        let joins = std::mem::take(&mut self.pending_joins);
-        for wid in joins {
+        for wid in std::mem::take(&mut self.pending_joins) {
             self.admit(wid)?;
         }
         Ok(())
     }
 
-    /// Admits one worker: clears its stale protocol state, bumps the
-    /// membership epoch, replicates the membership change, and sends
-    /// the `Welcome` that tells the worker which epoch and phase
-    /// cursors to resume from.
+    /// Admits one worker: forgets what its previous incarnation
+    /// contributed, bumps the membership epoch, replicates the change,
+    /// and sends the `Welcome` that tells the worker which epoch and
+    /// phase cursors to resume from.
     fn admit(&mut self, wid: u16) -> Result<(), TransportError> {
-        let w = wid as usize;
-        if self.evicted[w] {
-            self.evicted[w] = false;
-            self.evicted_count -= 1;
-        }
-        if self.departed[w] {
-            self.departed[w] = false;
-            self.goodbyes -= 1;
-        }
-        // Forget anything the previous incarnation contributed: the
-        // joiner starts from the handed-out cursors with clean seen
-        // bits (counts are all zero at an idle boundary).
-        for slot in self.slots.iter_mut().flatten() {
-            slot.seen[0][w] = false;
-            slot.seen[1][w] = false;
-        }
-        self.epoch = self.epoch.wrapping_add(1);
-        self.member_epoch[w] = self.epoch;
-        self.last_heard[w] = Instant::now();
+        let epoch = self.table.advance_epoch();
+        self.table.admit(wid as usize, epoch, self.now_ns());
         self.stats.joins_admitted += 1;
         self.counters.joins_admitted.inc();
         self.flight.record(
@@ -1388,21 +1103,14 @@ impl<T: Transport> RecoveryAggregator<T> {
             NO_BLOCK,
             self.shard as u16,
             wid,
-            self.epoch as u64,
+            epoch as u64,
         );
-        self.replicate(CheckpointDelta {
-            epoch: self.epoch,
-            slot: MEMBERSHIP_ONLY,
-            ver: 0,
-            members: vec![wid],
-            evicted: self.evicted_wids(),
-            entries: Vec::new(),
-        })?;
-        let welcome = Message::Welcome {
-            epoch: self.epoch,
-            vers: self.ver_cursors(),
-        };
-        crate::wire::send_best_effort(&self.transport, NodeId(self.cfg.worker_node(w)), &welcome)
+        self.replicate_membership(vec![wid])?;
+        crate::wire::send_best_effort(
+            &self.transport,
+            NodeId(self.cfg.worker_node(wid as usize)),
+            &self.welcome(),
+        )
     }
 
     /// Applies a checkpoint delta from the primary (standbys only):
@@ -1426,8 +1134,7 @@ impl<T: Transport> RecoveryAggregator<T> {
             u16::MAX,
             bytes,
         );
-        if epoch_before(self.epoch, delta.epoch) {
-            self.epoch = delta.epoch;
+        if self.table.adopt_epoch(delta.epoch) {
             self.flight.record(
                 FlightEventKind::EpochChange,
                 0,
@@ -1439,33 +1146,13 @@ impl<T: Transport> RecoveryAggregator<T> {
         }
         // The eviction set is replicated wholesale with every delta.
         for w in 0..n {
-            let is = delta.evicted.contains(&(w as u16));
-            if self.evicted[w] != is {
-                self.evicted[w] = is;
-                if is {
-                    self.evicted_count += 1;
-                } else {
-                    self.evicted_count -= 1;
-                }
-            }
+            self.table
+                .set_evicted(w, delta.evicted.contains(&(w as u16)));
         }
+        let now = self.now_ns();
         if delta.slot == MEMBERSHIP_ONLY {
-            let now = Instant::now();
-            for &wid in &delta.members {
-                let w = wid as usize;
-                if w >= n {
-                    continue;
-                }
-                self.member_epoch[w] = delta.epoch;
-                if self.departed[w] {
-                    self.departed[w] = false;
-                    self.goodbyes -= 1;
-                }
-                self.last_heard[w] = now;
-                for slot in self.slots.iter_mut().flatten() {
-                    slot.seen[0][w] = false;
-                    slot.seen[1][w] = false;
-                }
+            for w in delta.members.iter().map(|&m| m as usize).filter(|&w| w < n) {
+                self.table.admit(w, delta.epoch, now);
             }
             return;
         }
@@ -1479,48 +1166,17 @@ impl<T: Transport> RecoveryAggregator<T> {
         // from scratch — bit-identical under §7 worker-id-order
         // reduction.
         let g = delta.slot as usize;
+        if !matches!(self.payload.get(g), Some(Some(_))) {
+            return;
+        }
+        let members = delta.members.iter().map(|&m| m as usize).filter(|&w| w < n);
+        self.table.install(g, delta.ver, members);
         let v = (delta.ver & 1) as usize;
-        let epoch = self.epoch;
-        if g >= self.slots.len() {
-            return;
-        }
-        let Some(slot) = self.slots[g].as_mut() else {
-            return;
-        };
-        slot.count[v] = 0;
-        for b in slot.seen[v].iter_mut() {
-            *b = false;
-        }
-        for &wid in &delta.members {
-            let c = wid as usize;
-            if c < n {
-                slot.seen[v][c] = true;
-                slot.seen[v ^ 1][c] = false;
-            }
-        }
-        let old = slot.result[v].take();
-        slot.result[v] = Some(Message::Block(Packet {
-            kind: PacketKind::Result,
-            ver: v as u8,
-            slot: delta.slot,
-            stream: self.cfg.stream_id,
-            wid: u16::MAX,
-            epoch,
-            entries: delta.entries,
-        }));
-        self.next_ver[g] = (v ^ 1) as u8;
-        if let Some(old) = old {
+        let result = self.shard_packet(PacketKind::Result, g, v, delta.entries);
+        let payload = self.payload[g].as_mut().expect("owned stream");
+        if let Some(old) = payload.result[v].replace(result) {
             self.pool.recycle_message(old);
         }
-    }
-
-    /// True if version `v` of slot `g` has an aggregation phase in
-    /// flight that worker `w` has not yet contributed to.
-    fn waiting_on(&self, w: usize) -> bool {
-        self.slots
-            .iter()
-            .flatten()
-            .any(|slot| (0..2).any(|v| slot.count[v] > 0 && !slot.seen[v][w]))
     }
 
     /// Evicts workers the shard is waiting on that have been silent for
@@ -1531,15 +1187,8 @@ impl<T: Transport> RecoveryAggregator<T> {
         if !self.active {
             return Ok(());
         }
-        let now = Instant::now();
-        for w in 0..self.cfg.num_workers {
-            if self.departed[w] || self.evicted[w] {
-                continue;
-            }
-            let idle = now.duration_since(self.last_heard[w]);
-            if idle <= self.cfg.worker_eviction_timeout || !self.waiting_on(w) {
-                continue;
-            }
+        let timeout = self.cfg.worker_eviction_timeout.as_nanos() as u64;
+        while let Some((w, idle)) = self.table.overdue(self.now_ns(), timeout) {
             self.stats.evictions += 1;
             self.counters.evictions.inc();
             self.flight.record(
@@ -1548,49 +1197,33 @@ impl<T: Transport> RecoveryAggregator<T> {
                 NO_BLOCK,
                 self.shard as u16,
                 w as u16,
-                idle.as_nanos() as u64,
+                idle,
             );
             if self.cfg.degraded_mode == DegradedMode::Abort {
-                return Err(ProtocolError::WorkerEvicted { worker: w, idle });
+                return Err(ProtocolError::WorkerEvicted {
+                    worker: w,
+                    idle: Duration::from_nanos(idle),
+                });
             }
-            self.evicted[w] = true;
-            self.evicted_count += 1;
-            // Eviction is a membership change: bump the epoch so a
-            // later incarnation of `w` (rejoined at a newer epoch) can
-            // be told apart from this one's in-flight stragglers, and
-            // replicate the new membership to the standby.
-            self.epoch = self.epoch.wrapping_add(1);
+            // Eviction is a membership change: the epoch bump lets a
+            // later incarnation of `w` (rejoined at a newer epoch) be
+            // told apart from this one's in-flight stragglers.
+            self.table.evict(w);
             self.flight.record(
                 FlightEventKind::EpochChange,
                 0,
                 NO_BLOCK,
                 self.shard as u16,
                 w as u16,
-                self.epoch as u64,
+                self.table.epoch() as u64,
             );
-            self.replicate(CheckpointDelta {
-                epoch: self.epoch,
-                slot: MEMBERSHIP_ONLY,
-                ver: 0,
-                members: Vec::new(),
-                evicted: self.evicted_wids(),
-                entries: Vec::new(),
-            })?;
-            // Renormalize: phases already in flight may now be
-            // complete without `w`'s contribution; idle versions must
-            // forget `w`'s stale seen bit so the *next* phase does not
-            // wait for it either.
-            for g in 0..self.layout.total_streams() {
-                if self.slots[g].is_none() {
-                    continue;
-                }
-                for v in 0..2 {
-                    let slot = self.slots[g].as_mut().unwrap();
-                    if slot.count[v] == 0 {
-                        slot.seen[v][w] = false;
-                    } else {
-                        self.complete_if_ready(g, v)?;
-                    }
+            self.replicate_membership(Vec::new())?;
+            // Renormalize: phases in flight may now be complete without
+            // `w`'s contribution.
+            for g in 0..self.payload.len() {
+                if self.payload[g].is_some() {
+                    self.complete_if_ready(g, 0)?;
+                    self.complete_if_ready(g, 1)?;
                 }
             }
         }
@@ -1603,50 +1236,30 @@ impl<T: Transport> RecoveryAggregator<T> {
         let wid = p.wid as usize;
         let width = self.layout.width();
 
-        if wid < self.evicted.len() && self.evicted[wid] {
-            // A zombie: evicted, but packets still in flight (or the
-            // worker is alive behind a healed partition). Its phase
-            // accounting has been renormalized without it, so its
-            // contributions must not be aggregated. In `Rejoin` mode
-            // the zombie is answered with the current `Welcome` so it
-            // fails fast ([`ProtocolError::Evicted`]) and can re-join;
-            // otherwise it fails via its own retry budget.
-            self.stats.evicted_packets_dropped += 1;
-            if self.cfg.degraded_mode == DegradedMode::Rejoin {
-                let welcome = Message::Welcome {
-                    epoch: self.epoch,
-                    vers: self.ver_cursors(),
-                };
-                crate::wire::send_best_effort(
-                    &self.transport,
-                    NodeId(self.cfg.worker_node(wid)),
-                    &welcome,
-                )?;
+        let contribution = self.table.on_data(wid, g, p.ver, p.epoch, self.now_ns());
+        match contribution {
+            Contribution::Zombie => {
+                // Evicted, but packets still in flight (or the worker is
+                // alive behind a healed partition). In `Rejoin` mode the
+                // zombie is answered with the current `Welcome` so it
+                // fails fast ([`ProtocolError::Evicted`]) and can
+                // re-join; otherwise it fails via its own retry budget.
+                self.stats.evicted_packets_dropped += 1;
+                if self.cfg.degraded_mode == DegradedMode::Rejoin {
+                    crate::wire::send_best_effort(
+                        &self.transport,
+                        NodeId(self.cfg.worker_node(wid)),
+                        &self.welcome(),
+                    )?;
+                }
+                return Ok(());
             }
-            return Ok(());
-        }
-
-        if wid < self.member_epoch.len() && epoch_before(p.epoch, self.member_epoch[wid]) {
-            // A straggler from before this worker's (re)admission:
-            // its phase state was wiped at admission, so aggregating
-            // pre-admission packets would corrupt the fresh cursors.
-            // The admission epoch makes the rejection deterministic.
-            self.stats.stale_epoch_dropped += 1;
-            self.counters.stale_epoch_dropped.inc();
-            return Ok(());
-        }
-
-        // First accepted packet after a fully-idle period starts a new
-        // round: restart every member's liveness clock so silence
-        // accumulated while nobody owed anything (a gap between rounds,
-        // a worker blocked on its caller) cannot trigger an instant
-        // eviction the moment the group starts waiting again.
-        if !self.busy {
-            self.busy = true;
-            let now = Instant::now();
-            for t in self.last_heard.iter_mut() {
-                *t = now;
+            Contribution::StaleEpoch => {
+                self.stats.stale_epoch_dropped += 1;
+                self.counters.stale_epoch_dropped.inc();
+                return Ok(());
             }
+            _ => {}
         }
 
         // Keyed by the first entry's block, mirroring the sender's
@@ -1662,16 +1275,14 @@ impl<T: Transport> RecoveryAggregator<T> {
             );
         }
 
-        let slot = self.slots[g].as_mut().expect("stream not owned by shard");
-
-        if slot.seen[v][wid] {
-            // Duplicate (network dup or worker retransmission). If the
-            // phase is complete, the worker evidently missed the result:
-            // unicast it back (Algorithm 2 lines 47–49).
-            self.stats.duplicates_ignored += 1;
-            self.counters.duplicates_ignored.inc();
-            if slot.count[v] == 0 {
-                if let Some(result) = slot.result[v].as_ref() {
+        let payload = self.payload[g].as_mut().expect("stream not owned by shard");
+        match contribution {
+            Contribution::Resend => {
+                // The sender evidently missed the result: unicast it
+                // back (Algorithm 2 lines 47–49).
+                self.stats.duplicates_ignored += 1;
+                self.counters.duplicates_ignored.inc();
+                if let Some(result) = payload.result[v].as_ref() {
                     self.stats.result_retransmissions += 1;
                     self.counters.result_retransmissions.inc();
                     crate::wire::send_best_effort(
@@ -1680,27 +1291,17 @@ impl<T: Transport> RecoveryAggregator<T> {
                         result,
                     )?;
                 }
-            } else {
-                // Phase in progress and a worker is already
-                // retransmitting: the stall is real, and this shard
-                // knows *exactly* whose contribution it lacks.
-                // Receiver-driven recovery: solicit the missing workers
-                // directly instead of letting every worker's timer race
-                // (the retransmission-storm path — see DESIGN.md "Fault
-                // model & degradation").
-                let nack = Message::Block(Packet {
-                    kind: PacketKind::Nack,
-                    ver: v as u8,
-                    slot: g as u16,
-                    stream: self.cfg.stream_id,
-                    wid: u16::MAX,
-                    epoch: self.epoch,
-                    entries: Vec::new(),
-                });
-                for w in 0..self.cfg.num_workers {
-                    if slot.seen[v][w] || self.departed[w] || self.evicted[w] {
-                        continue;
-                    }
+                return Ok(());
+            }
+            Contribution::Stalled => {
+                // A worker is already retransmitting into an open phase:
+                // the stall is real, and the shard knows exactly whose
+                // contribution it lacks. Solicit those workers instead of
+                // letting every worker's timer race (DESIGN §8).
+                self.stats.duplicates_ignored += 1;
+                self.counters.duplicates_ignored.inc();
+                let nack = self.shard_packet(PacketKind::Nack, g, v, Vec::new());
+                for w in self.table.missing(g, p.ver) {
                     self.stats.nacks_sent += 1;
                     self.counters.nacks_sent.inc();
                     self.flight.record(
@@ -1717,47 +1318,36 @@ impl<T: Transport> RecoveryAggregator<T> {
                         &nack,
                     )?;
                 }
+                return Ok(());
             }
-            // A trailing duplicate of a *completed* phase must not leave
-            // the shard marked busy: the idle→busy edge above fired for
-            // a packet that opened no work, and with nothing in flight
-            // no completion will ever clear the flag again — the armed
-            // eviction sweep would then count the inter-round gap as
-            // member silence (and, in the simulator, re-arm forever and
-            // keep the event queue from draining).
-            if self.busy && self.fully_idle() {
-                self.busy = false;
-            }
-            return Ok(());
+            _ => {}
         }
 
-        // First packet of a fresh phase resets that version's state
-        // (Algorithm 2 lines 36–38 generalize per column).
-        slot.seen[v][wid] = true;
-        slot.seen[v ^ 1][wid] = false;
-        slot.count[v] += 1;
+        let Contribution::Fresh { opened } = contribution else {
+            unreachable!()
+        };
         // Contribution lateness vs the phase opener, for the straggler
         // detector. Clock reads only when the histograms are registered.
         if let Some(h) = self.counters.contrib_delay.get(wid) {
-            if slot.count[v] == 1 {
-                slot.first_arrival[v] = Some(Instant::now());
+            if opened {
+                payload.first_arrival[v] = Some(Instant::now());
                 h.record(0);
-            } else if let Some(opened) = slot.first_arrival[v] {
-                h.record(opened.elapsed().as_nanos() as u64);
+            } else if let Some(t0) = payload.first_arrival[v] {
+                h.record(t0.elapsed().as_nanos() as u64);
             }
         }
-        if slot.count[v] == 1 {
+        if opened {
             // First packet of a fresh phase: reset the columns in place
             // (keeping their buffers) and recycle the retired result's
             // buffers — its retransmission window is over (DESIGN §9).
-            for col in slot.cols[v].iter_mut() {
-                col.reset();
+            for acc in payload.acc[v].iter_mut() {
+                acc.reset();
             }
-            if let Some(old) = slot.result[v].take() {
+            if let Some(old) = payload.result[v].take() {
                 self.pool.recycle_message(old);
             }
-            // First contribution claims the phase's slot; released in
-            // `complete_if_ready` under the same (block, shard) key.
+            // First contribution claims the phase's slot; released on
+            // completion under the same (block, shard) key.
             if let Some(first) = p.entries.first() {
                 self.flight.record(
                     FlightEventKind::SlotOccupy,
@@ -1769,159 +1359,104 @@ impl<T: Transport> RecoveryAggregator<T> {
                 );
             }
         }
-
-        let slot = self.slots[g].as_mut().expect("stream not owned by shard");
         for entry in &p.entries {
             let (col, next) = decode_next(entry.next, width);
-            let cp = &mut slot.cols[v][col];
-            // Acks carry the requested block too: record it even without
-            // data, so an all-ack phase (possible when the only worker
-            // whose chain pointed at this block was evicted mid-phase)
-            // still advances the column instead of dropping it from the
-            // result and stalling the chain forever.
-            match cp.block {
-                None => cp.block = Some(entry.block),
-                Some(b) => debug_assert_eq!(b, entry.block, "phase mixes blocks"),
-            }
-            if !entry.data.is_empty() {
+            let e = ColEntry {
+                col,
+                block: entry.block,
+                next,
+            };
+            if entry.is_ack() {
+                self.table.fold(g, p.ver, Reply::Ack(e));
+            } else {
+                self.table.fold(g, p.ver, Reply::Data(e));
                 // Arrival-order mode reduces immediately (vectorized
                 // kernel); deterministic §7 mode copies into the
                 // worker's persistent buffer, reduced in worker-id
                 // order at completion. No per-block allocation.
-                cp.acc.store(wid, &entry.data);
+                payload.acc[v][col].store(wid, &entry.data);
             }
-            cp.min_next = cp.min_next.min(if next == INFINITY_BLOCK {
-                INFINITY_BLOCK as i64
-            } else {
-                next as i64
-            });
         }
-
-        self.complete_if_ready(g, v)?;
-        Ok(())
+        self.complete_if_ready(g, v)
     }
 
-    /// Number of contributions version `v` of slot `g` needs before its
-    /// phase completes: all workers, minus the evicted ones that have
-    /// not already contributed to this phase.
-    fn needed(&self, g: usize, v: usize) -> usize {
-        let slot = self.slots[g].as_ref().expect("stream not owned by shard");
-        let missing_evicted = (0..self.cfg.num_workers)
-            .filter(|&w| self.evicted[w] && !slot.seen[v][w])
-            .count();
-        self.cfg.num_workers - missing_evicted
-    }
-
-    /// Completes version `v` of slot `g` if its in-flight phase has all
-    /// the contributions it needs (Algorithm 2 l.42, with the count
-    /// renormalized past evicted workers), multicasting the result to
-    /// the surviving workers.
+    /// Completes version `v` of stream `g` if the table says its phase
+    /// has every contribution it needs, multicasting the result to the
+    /// surviving workers.
     fn complete_if_ready(&mut self, g: usize, v: usize) -> Result<(), TransportError> {
-        let n = self.cfg.num_workers;
         let width = self.layout.width();
-        let needed = self.needed(g, v);
-        let slot = self.slots[g].as_mut().expect("stream not owned by shard");
-        if slot.count[v] == 0 || slot.count[v] < needed {
+        let mut row = std::mem::take(&mut self.row);
+        let done = self.table.complete(g, v as u8, &mut row);
+        if done == Completion::Pending {
+            self.row = row;
             return Ok(());
         }
-        // Phase complete (the count wraps to 0, Algorithm 2 l.42).
-        slot.count[v] = 0;
-        if needed < n {
+        if done == Completion::Degraded {
             self.stats.degraded_completions += 1;
             self.counters.degraded_completions.inc();
         }
+        let payload = self.payload[g].as_mut().expect("owned stream");
         let mut entries = self.pool.checkout_entries();
-        for (c, cp) in slot.cols[v].iter_mut().enumerate() {
-            let Some(block) = cp.block else { continue };
-            let min_next = if cp.min_next == i64::MAX || cp.min_next == INFINITY_BLOCK as i64 {
-                INFINITY_BLOCK
-            } else {
-                cp.min_next as BlockIdx
-            };
-            if cp.acc.touched() {
+        for r in &row {
+            let acc = &mut payload.acc[v][r.col];
+            let next = encode_next(r.next, r.col, width);
+            if acc.touched() {
                 let mut data = self.pool.checkout_f32();
-                cp.acc.take_into(&mut data);
-                entries.push(Entry::data(block, encode_next(min_next, c, width), data));
+                acc.take_into(&mut data);
+                entries.push(Entry::data(r.block, next, data));
             } else {
                 // All-ack phase: every surviving contributor skipped this
                 // block (the evicted worker that requested it never sent
                 // its data). The aggregate is zero — an ack result entry
                 // advances the chain without carrying a payload.
-                entries.push(Entry::ack(block, encode_next(min_next, c, width)));
+                entries.push(Entry::ack(r.block, next));
             }
         }
-        // Forget evicted workers' seen bits so the *next* phase of this
-        // version does not count them as pending contributors.
-        for w in 0..n {
-            if self.evicted[w] {
-                slot.seen[v][w] = false;
-            }
-        }
-        // The stream's next fresh phase runs the other version — the
-        // cursor handed to joiners admitted at the round boundary.
-        let members: Vec<u16> = (0..n)
-            .filter(|&w| slot.seen[v][w])
-            .map(|w| w as u16)
-            .collect();
-        self.next_ver[g] = (v ^ 1) as u8;
+        self.row = row;
         // Failover bit-identity invariant (DESIGN §12): the completed
         // phase is checkpointed to the standby *before* any worker can
         // see its result, so no worker can advance past a phase the
         // standby does not hold.
         if self.cfg.hot_standby && !self.standby {
             self.replicate(CheckpointDelta {
-                epoch: self.epoch,
+                epoch: self.table.epoch(),
                 slot: g as u16,
                 ver: v as u8,
-                members,
+                members: self
+                    .table
+                    .contributors(g, v as u8)
+                    .map(|w| w as u16)
+                    .collect(),
                 evicted: self.evicted_wids(),
                 entries: entries.clone(),
             })?;
         }
-        let result = Message::Block(Packet {
-            kind: PacketKind::Result,
-            ver: v as u8,
-            slot: g as u16,
-            stream: self.cfg.stream_id,
-            wid: u16::MAX,
-            epoch: self.epoch,
-            entries,
-        });
-        let workers: Vec<NodeId> = (0..n)
-            .filter(|w| !self.departed[*w] && !self.evicted[*w])
-            .map(|w| NodeId(self.cfg.worker_node(w)))
-            .collect();
         self.stats.results_sent += 1;
         self.counters.results_sent.inc();
-        if let Message::Block(ref pkt) = result {
-            if let Some(first) = pkt.entries.first() {
+        if let Some(first) = entries.first() {
+            for (kind, aux) in [
+                (FlightEventKind::SlotRelease, v as u64),
+                (FlightEventKind::ResultTx, entries.len() as u64),
+            ] {
                 self.flight.record(
-                    FlightEventKind::SlotRelease,
+                    kind,
                     0,
                     first.block as u64,
                     self.shard as u16,
                     u16::MAX,
-                    v as u64,
-                );
-                self.flight.record(
-                    FlightEventKind::ResultTx,
-                    0,
-                    first.block as u64,
-                    self.shard as u16,
-                    u16::MAX,
-                    pkt.entries.len() as u64,
+                    aux,
                 );
             }
         }
-        for w in &workers {
-            crate::wire::send_best_effort(&self.transport, *w, &result)?;
+        let result = self.shard_packet(PacketKind::Result, g, v, entries);
+        for w in (0..self.cfg.num_workers).filter(|&w| self.table.is_member(w)) {
+            crate::wire::send_best_effort(
+                &self.transport,
+                NodeId(self.cfg.worker_node(w)),
+                &result,
+            )?;
         }
-        self.slots[g].as_mut().unwrap().result[v] = Some(result);
-        if self.fully_idle() {
-            // Round boundary: the next accepted packet re-arms the
-            // liveness clocks (see `busy`).
-            self.busy = false;
-        }
+        self.payload[g].as_mut().expect("owned stream").result[v] = Some(result);
         Ok(())
     }
 }

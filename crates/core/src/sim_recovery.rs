@@ -3,13 +3,16 @@
 //! simulated timers — the deterministic counterpart of the wall-clock
 //! measurement in `fig21_loss`.
 //!
-//! Mirrors [`crate::recovery`]: every worker answers every result packet
-//! (data or ack per active column), the aggregator completes a phase by
-//! counting distinct workers, keeps two slot versions, retains completed
-//! results for retransmission, and workers arm a per-stream timer for
-//! every packet they send. Packet payloads are elided; the simulator
-//! charges exact encoded sizes and drops packets per the NICs' loss
-//! probability.
+//! The actors drive the same machines as the executable engines in
+//! [`crate::recovery`] — [`WorkerPhases`] and [`PhaseTable`] — so acks,
+//! timers, RTO policy (read from [`OmniConfig`]), two-version slots,
+//! seen-bit dedup, retained-result resends, NACKs and evictions behave
+//! exactly as there. Packet payloads are elided: each column carries a
+//! value count, the simulator charges exact encoded sizes (a NACK is the
+//! codec's empty Nack packet) and drops packets per the NICs' loss
+//! probability. What stays here is `Ctx::send`/`set_timer`, the
+//! `core.sim_recovery.*` counters, the sim-time flight lane and the
+//! scripted departures of [`SimMembership`].
 //!
 //! The aggregator actor never halts (it must stay able to serve result
 //! retransmissions after the last multicast); the run ends when the
@@ -23,67 +26,15 @@ use omnireduce_simnet::{ActorId, Ctx, NicConfig, Process, SimTime, Simulator};
 use omnireduce_telemetry::{
     Counter, FlightEventKind, FlightLane, Histogram, LaneRole, Telemetry, NO_BLOCK,
 };
-use omnireduce_tensor::{BlockIdx, NonZeroBitmap, INFINITY_BLOCK};
+use omnireduce_tensor::NonZeroBitmap;
 use omnireduce_transport::codec::ENTRY_HEADER_BYTES;
-use omnireduce_transport::timer::RttEstimator;
 
 use crate::config::OmniConfig;
 use crate::layout::StreamLayout;
-use crate::recovery::epoch_before;
+use crate::protocol::{
+    epoch_before, ColEntry, Completion, Contribution, Expiry, PhaseTable, Reply, WorkerPhases,
+};
 use crate::sim::{SimEntry, SimOutcome};
-
-/// Retransmission-timer policy for the simulated recovery protocol —
-/// the simulated mirror of the `adaptive_rto`/`rto_min`/`rto_max`/
-/// `max_retransmits` knobs of [`OmniConfig`].
-#[derive(Debug, Clone, Copy)]
-pub struct SimRtoConfig {
-    /// When true, estimate the RTO from observed (simulated) RTTs;
-    /// when false, always arm `initial`.
-    pub adaptive: bool,
-    /// Initial RTO (and the fixed RTO when `adaptive` is false).
-    pub initial: SimTime,
-    /// Lower clamp for the adaptive RTO.
-    pub min: SimTime,
-    /// Upper clamp for the adaptive RTO (including backoff).
-    pub max: SimTime,
-    /// Consecutive unanswered retransmissions of one slot before the
-    /// worker gives up on the shard and halts as *failed* (reported in
-    /// [`SimOutcome::failed_workers`]). Keeps a simulation with a dead
-    /// or unreachable peer bounded instead of re-arming timers forever.
-    pub max_retransmits: u32,
-}
-
-impl SimRtoConfig {
-    /// The pre-robustness policy: a fixed timeout, with a large (but
-    /// finite — simulations must drain) retry budget.
-    pub fn fixed(t: SimTime) -> Self {
-        SimRtoConfig {
-            adaptive: false,
-            initial: t,
-            min: t,
-            max: t,
-            max_retransmits: 1000,
-        }
-    }
-
-    /// Adaptive RTO with the given initial value and clamp range.
-    pub fn adaptive(initial: SimTime, min: SimTime, max: SimTime) -> Self {
-        SimRtoConfig {
-            adaptive: true,
-            initial,
-            min,
-            max,
-            max_retransmits: 10,
-        }
-    }
-
-    /// Sets the retry budget.
-    pub fn with_max_retransmits(mut self, n: u32) -> Self {
-        assert!(n >= 1, "retry budget must be positive");
-        self.max_retransmits = n;
-        self
-    }
-}
 
 /// Membership schedule for a simulated run: scripted worker departures
 /// (the simulated mirror of a crashed worker in [`ChaosNetwork`]) and
@@ -148,6 +99,14 @@ pub enum RecMsg {
         /// Per-column aggregated entries.
         entries: Vec<SimEntry>,
     },
+    /// Aggregator → worker: the open phase `ver` of `stream` lacks this
+    /// worker's contribution — resend it now.
+    Nack {
+        /// Stream id.
+        stream: usize,
+        /// Version of the stalled phase.
+        ver: u8,
+    },
 }
 
 fn msg_bytes(stream_id: u16, entries: &[SimEntry]) -> usize {
@@ -163,10 +122,12 @@ fn msg_bytes(stream_id: u16, entries: &[SimEntry]) -> usize {
 #[derive(Clone)]
 struct RecCounters {
     retransmissions: Counter,
+    solicited_retransmissions: Counter,
     timer_fires: Counter,
     stale_results_ignored: Counter,
     duplicates_ignored: Counter,
     result_retransmissions: Counter,
+    nacks_sent: Counter,
     backoffs: Counter,
     peer_unresponsive: Counter,
     /// `core.sim_recovery.rto`: armed RTO per sent packet, in µs.
@@ -175,49 +136,25 @@ struct RecCounters {
 
 impl RecCounters {
     fn new(telemetry: Option<&Telemetry>) -> Self {
-        match telemetry {
-            Some(t) => RecCounters {
-                retransmissions: t.counter("core.sim_recovery.retransmissions"),
-                timer_fires: t.counter("core.sim_recovery.timer_fires"),
-                stale_results_ignored: t.counter("core.sim_recovery.stale_results_ignored"),
-                duplicates_ignored: t.counter("core.sim_recovery.duplicates_ignored"),
-                result_retransmissions: t.counter("core.sim_recovery.result_retransmissions"),
-                backoffs: t.counter("core.sim_recovery.backoffs"),
-                peer_unresponsive: t.counter("core.sim_recovery.peer_unresponsive"),
-                rto: t.histogram("core.sim_recovery.rto"),
-            },
-            None => RecCounters {
-                retransmissions: Counter::detached(),
-                timer_fires: Counter::detached(),
-                stale_results_ignored: Counter::detached(),
-                duplicates_ignored: Counter::detached(),
-                result_retransmissions: Counter::detached(),
-                backoffs: Counter::detached(),
-                peer_unresponsive: Counter::detached(),
-                rto: Histogram::detached(),
-            },
+        let counter = |name: &str| match telemetry {
+            Some(t) => t.counter(&format!("core.sim_recovery.{name}")),
+            None => Counter::detached(),
+        };
+        RecCounters {
+            retransmissions: counter("retransmissions"),
+            solicited_retransmissions: counter("solicited_retransmissions"),
+            timer_fires: counter("timer_fires"),
+            stale_results_ignored: counter("stale_results_ignored"),
+            duplicates_ignored: counter("duplicates_ignored"),
+            result_retransmissions: counter("result_retransmissions"),
+            nacks_sent: counter("nacks_sent"),
+            backoffs: counter("backoffs"),
+            peer_unresponsive: counter("peer_unresponsive"),
+            rto: telemetry.map_or_else(Histogram::detached, |t| {
+                t.histogram("core.sim_recovery.rto")
+            }),
         }
     }
-}
-
-struct WCol {
-    my_next: BlockIdx,
-    done: bool,
-}
-
-struct WStream {
-    cols: Vec<Option<WCol>>,
-    remaining: usize,
-    ver: u8,
-    outstanding: Option<Vec<SimEntry>>,
-    /// Bumps on every (re)send; stale timer tokens are ignored.
-    timer_epoch: u32,
-    /// When the outstanding packet was first sent (for RTT sampling).
-    sent_at: SimTime,
-    /// Karn's rule: a retransmitted packet's answer feeds no RTT sample.
-    retransmitted: bool,
-    /// Consecutive unanswered retransmissions of the outstanding packet.
-    retx: u32,
 }
 
 struct RecWorker {
@@ -226,14 +163,12 @@ struct RecWorker {
     wid: usize,
     bitmap: Arc<NonZeroBitmap>,
     shards: Vec<ActorId>,
-    rto_cfg: SimRtoConfig,
-    /// Per-shard RTT estimator (adaptive mode).
-    rtt: Vec<RttEstimator>,
-    streams: Vec<Option<WStream>>,
-    pending: usize,
-    /// Retransmissions performed (surfaced through `finished` stats by
-    /// the driver via closure capture — kept for debug assertions).
-    retransmissions: u64,
+    phases: WorkerPhases,
+    /// The packet each open stream waits to see answered.
+    sent: Vec<Option<Vec<SimEntry>>>,
+    /// Per-stream timer generation: bumps on every (re)arm and answer,
+    /// so a superseded timer's token is recognized and ignored.
+    timer_gen: Vec<u32>,
     /// Set when the retry budget ran out: the worker has halted as
     /// failed and ignores everything from then on.
     failed: bool,
@@ -253,8 +188,8 @@ struct RecWorker {
     flight: FlightLane,
 }
 
-fn timer_token(stream: usize, epoch: u32) -> u64 {
-    ((stream as u64) << 32) | epoch as u64
+fn timer_token(stream: usize, generation: u32) -> u64 {
+    ((stream as u64) << 32) | generation as u64
 }
 
 /// Worker timer token for the scripted departure (never collides with
@@ -264,230 +199,172 @@ const DEPART_TOKEN: u64 = u64::MAX;
 /// no other timers).
 const SWEEP_TOKEN: u64 = u64::MAX;
 
+/// A worker packet entry as the simulator carries it: the block's value
+/// count for data, none for an ack.
+fn sim_entry(layout: &StreamLayout, reply: Reply) -> SimEntry {
+    let (e, values) = match reply {
+        Reply::Data(e) => (e, layout.block_range(e.block).len()),
+        Reply::Ack(e) => (e, 0),
+    };
+    SimEntry {
+        block: e.block,
+        col: e.col,
+        next: e.next,
+        values,
+    }
+}
+
 impl RecWorker {
-    /// RTO to arm for the next packet to `shard` (adaptive or fixed),
-    /// recorded into the `core.sim_recovery.rto` histogram (µs).
-    fn next_rto(&mut self, shard: usize) -> SimTime {
-        let rto = if self.rto_cfg.adaptive {
-            SimTime::from_nanos(self.rtt[shard].next_rto().as_nanos() as u64)
-        } else {
-            self.rto_cfg.initial
-        };
-        self.counters.rto.record(rto.as_nanos() / 1_000);
-        rto
+    fn record(&self, now: SimTime, kind: FlightEventKind, block: u64, shard: usize, aux: u64) {
+        self.flight.record_at(
+            now.as_nanos(),
+            kind,
+            0,
+            block,
+            shard as u16,
+            self.wid as u16,
+            aux,
+        );
+    }
+
+    /// Puts `stream`'s packet on the wire and arms its timer for `rto`
+    /// ns.
+    fn transmit(&mut self, ctx: &mut Ctx<RecMsg>, g: usize, entries: Vec<SimEntry>, rto: u64) {
+        let bytes = msg_bytes(self.cfg.stream_id, &entries);
+        let shard = self.cfg.shard_of_stream(g);
+        let block = entries.first().map_or(NO_BLOCK, |e| e.block as u64);
+        self.record(
+            ctx.now(),
+            FlightEventKind::PacketTx,
+            block,
+            shard,
+            bytes as u64,
+        );
+        ctx.send(
+            self.shards[shard],
+            RecMsg::Data {
+                stream: g,
+                ver: self.phases.ver(g),
+                wid: self.wid,
+                epoch: self.epoch,
+                entries: entries.clone(),
+            },
+            bytes,
+        );
+        self.sent[g] = Some(entries);
+        self.timer_gen[g] += 1;
+        self.counters.rto.record(rto / 1_000);
+        ctx.set_timer(SimTime::from_nanos(rto), timer_token(g, self.timer_gen[g]));
     }
 
     fn send(&mut self, ctx: &mut Ctx<RecMsg>, g: usize, entries: Vec<SimEntry>) {
-        let bytes = msg_bytes(self.cfg.stream_id, &entries);
-        let shard_idx = self.cfg.shard_of_stream(g);
-        let shard = self.shards[shard_idx];
+        let rto = self.phases.sent(g, ctx.now().as_nanos());
+        self.transmit(ctx, g, entries, rto);
+    }
+
+    /// Resends `stream`'s outstanding packet: on a timer expiry
+    /// (`waited` = ns since its first transmission) or on a NACK
+    /// (`None`).
+    fn resend(&mut self, ctx: &mut Ctx<RecMsg>, g: usize, waited: Option<u64>) {
+        let entries = self.sent[g].take().expect("outstanding packet");
+        let shard = self.cfg.shard_of_stream(g);
+        let bytes = msg_bytes(self.cfg.stream_id, &entries) as u64;
+        let block = entries.first().map_or(NO_BLOCK, |e| e.block as u64);
         let now = ctx.now();
-        {
-            let state = self.streams[g].as_mut().expect("stream");
-            if let Some(first) = entries.first() {
-                self.flight.record_at(
-                    now.as_nanos(),
-                    FlightEventKind::PacketTx,
-                    0,
-                    first.block as u64,
-                    shard_idx as u16,
-                    self.wid as u16,
-                    bytes as u64,
-                );
+        self.counters.retransmissions.inc();
+        match waited {
+            None => {
+                self.counters.solicited_retransmissions.inc();
+                self.record(now, FlightEventKind::NackRx, block, shard, 0);
+                self.record(now, FlightEventKind::SolicitedResend, block, shard, bytes);
             }
-            ctx.send(
-                shard,
-                RecMsg::Data {
-                    stream: g,
-                    ver: state.ver,
-                    wid: self.wid,
-                    epoch: self.epoch,
-                    entries: entries.clone(),
-                },
-                bytes,
-            );
-            state.outstanding = Some(entries);
-            state.timer_epoch += 1;
-            state.sent_at = now;
-            state.retransmitted = false;
-            state.retx = 0;
+            Some(waited) => {
+                self.record(now, FlightEventKind::RtoFire, block, shard, waited);
+                self.record(now, FlightEventKind::Retransmit, block, shard, bytes);
+            }
         }
-        let rto = self.next_rto(shard_idx);
-        let state = self.streams[g].as_mut().expect("stream");
-        ctx.set_timer(rto, timer_token(g, state.timer_epoch));
+        let rto = self.phases.rto(shard);
+        self.transmit(ctx, g, entries, rto);
     }
 }
 
 impl Process<RecMsg> for RecWorker {
     fn on_start(&mut self, ctx: &mut Ctx<RecMsg>) {
-        self.flight.record_at(
-            ctx.now().as_nanos(),
-            FlightEventKind::RoundStart,
-            0,
-            NO_BLOCK,
-            0,
-            self.wid as u16,
-            0,
-        );
+        self.record(ctx.now(), FlightEventKind::RoundStart, NO_BLOCK, 0, 0);
+        self.phases.begin_round();
         let layout = self.layout;
-        let skip = self.cfg.skip_zero_blocks;
-        self.streams = (0..layout.total_streams()).map(|_| None).collect();
         for g in layout.active_streams() {
-            let mut cols: Vec<Option<WCol>> = Vec::with_capacity(layout.width());
             let mut entries = Vec::new();
-            let mut remaining = 0;
-            for c in 0..layout.width() {
-                match layout.first_block(g, c) {
-                    Some(b0) => {
-                        let my_next = layout.next_block(&self.bitmap, g, c, Some(b0), skip);
-                        entries.push(SimEntry {
-                            block: b0,
-                            col: c,
-                            next: my_next,
-                            values: layout.block_range(b0).len(),
-                        });
-                        cols.push(Some(WCol {
-                            my_next,
-                            done: false,
-                        }));
-                        remaining += 1;
-                    }
-                    None => cols.push(None),
-                }
-            }
-            self.streams[g] = Some(WStream {
-                cols,
-                remaining,
-                ver: 0,
-                outstanding: None,
-                timer_epoch: 0,
-                sent_at: SimTime::ZERO,
-                retransmitted: false,
-                retx: 0,
+            self.phases.open_stream(&self.bitmap, g, |e| {
+                entries.push(sim_entry(&layout, Reply::Data(e)));
             });
-            self.pending += 1;
             self.send(ctx, g, entries);
         }
         if let Some(t) = self.depart_at {
             ctx.set_timer(t, DEPART_TOKEN);
         }
-        if self.pending == 0 {
+        if self.phases.round_done() {
             ctx.halt();
         }
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<RecMsg>, _from: ActorId, msg: RecMsg) {
-        let RecMsg::Result {
-            stream: g,
-            ver,
-            epoch,
-            entries,
-        } = msg
-        else {
-            panic!("worker got non-result");
-        };
         if self.failed || self.departed {
             return;
         }
+        let (g, ver, epoch, entries) = match msg {
+            RecMsg::Result {
+                stream,
+                ver,
+                epoch,
+                entries,
+            } => (stream, ver, epoch, entries),
+            RecMsg::Nack { stream, ver } => {
+                if self.phases.on_nack(stream, ver) {
+                    self.resend(ctx, stream, None);
+                }
+                return;
+            }
+            RecMsg::Data { .. } => panic!("worker got data"),
+        };
+        let shard = self.cfg.shard_of_stream(g);
+        let now = ctx.now();
         if epoch_before(self.epoch, epoch) {
             // The group's membership moved on (an eviction happened):
             // adopt the epoch, mirroring the live worker.
             self.epoch = epoch;
-            self.flight.record_at(
-                ctx.now().as_nanos(),
+            self.record(
+                now,
                 FlightEventKind::EpochChange,
-                0,
                 NO_BLOCK,
-                self.cfg.shard_of_stream(g) as u16,
-                self.wid as u16,
+                shard,
                 epoch as u64,
             );
         }
-        let layout = self.layout;
-        let skip = self.cfg.skip_zero_blocks;
-        let now = ctx.now();
-        let Some(state) = self.streams[g].as_mut() else {
-            // Stream already finished; stale retransmission.
-            self.counters.stale_results_ignored.inc();
-            return;
-        };
-        if ver != state.ver {
-            // Duplicate of a processed phase.
+        if !self.phases.on_result(g, ver, now.as_nanos()) {
+            // A finished stream's, or an already-answered phase's.
             self.counters.stale_results_ignored.inc();
             return;
         }
-        self.flight.record_at(
-            now.as_nanos(),
-            FlightEventKind::ResultRx,
-            0,
-            NO_BLOCK,
-            self.cfg.shard_of_stream(g) as u16,
-            self.wid as u16,
-            entries.len() as u64,
-        );
-        if self.rto_cfg.adaptive {
-            let shard = self.cfg.shard_of_stream(g);
-            if state.outstanding.is_some() && !state.retransmitted {
-                let rtt =
-                    Duration::from_nanos(now.as_nanos().saturating_sub(state.sent_at.as_nanos()));
-                self.rtt[shard].sample(rtt);
-            } else {
-                // Karn's rule: ambiguous answer, reset backoff only.
-                self.rtt[shard].ack();
-            }
-        }
-        // Phase advances; invalidate the outstanding packet and timer.
-        state.ver ^= 1;
-        state.outstanding = None;
-        state.timer_epoch += 1;
+        let answered = entries.len() as u64;
+        self.record(now, FlightEventKind::ResultRx, NO_BLOCK, shard, answered);
+        // Phase answered: the outstanding packet and its timer retire.
+        self.sent[g] = None;
+        self.timer_gen[g] += 1;
         let mut reply = Vec::new();
         for e in &entries {
-            let cs = state.cols[e.col].as_mut().expect("column");
-            if cs.done {
-                continue;
-            }
-            let requested = e.next;
-            if requested == INFINITY_BLOCK {
-                cs.done = true;
-                state.remaining -= 1;
-                continue;
-            }
-            if cs.my_next == requested {
-                let new_next = layout.next_block(&self.bitmap, g, e.col, Some(requested), skip);
-                reply.push(SimEntry {
-                    block: requested,
-                    col: e.col,
-                    next: new_next,
-                    values: layout.block_range(requested).len(),
-                });
-                cs.my_next = new_next;
-            } else {
-                reply.push(SimEntry {
-                    block: requested,
-                    col: e.col,
-                    next: cs.my_next,
-                    values: 0, // ack
-                });
+            if let Some(r) = self.phases.reply(&self.bitmap, g, e.col, e.next) {
+                reply.push(sim_entry(&self.layout, r));
             }
         }
-        if state.remaining == 0 {
-            debug_assert!(reply.is_empty());
-            self.streams[g] = None;
-            self.pending -= 1;
-            if self.pending == 0 {
-                self.flight.record_at(
-                    ctx.now().as_nanos(),
-                    FlightEventKind::RoundEnd,
-                    0,
-                    NO_BLOCK,
-                    0,
-                    self.wid as u16,
-                    0,
-                );
-                ctx.halt();
-            }
-        } else {
+        if !self.phases.stream_done(g) {
             self.send(ctx, g, reply);
+            return;
+        }
+        debug_assert!(reply.is_empty(), "reply for a finished stream");
+        if self.phases.round_done() {
+            self.record(now, FlightEventKind::RoundEnd, NO_BLOCK, 0, 0);
+            ctx.halt();
         }
     }
 
@@ -505,248 +382,117 @@ impl Process<RecMsg> for RecWorker {
         }
         self.counters.timer_fires.inc();
         let g = (token >> 32) as usize;
-        let epoch = token as u32;
-        let shard_idx = self.cfg.shard_of_stream(g);
-        let shard = self.shards[shard_idx];
-        let Some(state) = self.streams.get_mut(g).and_then(|s| s.as_mut()) else {
-            return;
-        };
-        if state.timer_epoch != epoch {
-            return; // stale timer
+        if self.timer_gen.get(g) != Some(&(token as u32)) {
+            return; // superseded timer
         }
-        let Some(entries) = state.outstanding.clone() else {
-            return;
-        };
-        if state.retx >= self.rto_cfg.max_retransmits {
-            // Retry budget exhausted: the shard is unreachable. Halt as
-            // failed so the simulation drains instead of re-arming
-            // timers forever.
-            self.failed = true;
-            self.counters.peer_unresponsive.inc();
-            self.failed_sink
-                .lock()
-                .expect("failed sink poisoned")
-                .push(self.wid);
-            ctx.halt();
-            return;
-        }
-        if self.rto_cfg.adaptive {
-            self.rtt[shard_idx].on_timeout();
-            self.counters.backoffs.inc();
-        }
-        state.retx += 1;
-        state.retransmitted = true;
-        // Retransmit and re-arm.
-        self.retransmissions += 1;
-        self.counters.retransmissions.inc();
-        let now = ctx.now().as_nanos();
-        self.flight.record_at(
-            now,
-            FlightEventKind::RtoFire,
-            0,
-            NO_BLOCK,
-            shard_idx as u16,
-            self.wid as u16,
-            now.saturating_sub(state.sent_at.as_nanos()),
-        );
-        self.flight.record_at(
-            now,
-            FlightEventKind::Retransmit,
-            0,
-            NO_BLOCK,
-            shard_idx as u16,
-            self.wid as u16,
-            state.retx as u64,
-        );
-        // Extra PacketTx so the aggregator's eventual rx pairs with this
-        // resend, not the lost original.
-        if let Some(first) = entries.first() {
-            self.flight.record_at(
-                now,
-                FlightEventKind::PacketTx,
-                0,
-                first.block as u64,
-                shard_idx as u16,
-                self.wid as u16,
-                msg_bytes(self.cfg.stream_id, &entries) as u64,
-            );
-        }
-        ctx.send(
-            shard,
-            RecMsg::Data {
-                stream: g,
-                ver: state.ver,
-                wid: self.wid,
-                epoch: self.epoch,
-                entries: entries.clone(),
-            },
-            msg_bytes(self.cfg.stream_id, &entries),
-        );
-        state.timer_epoch += 1;
-        let epoch = state.timer_epoch;
-        let rto = self.next_rto(shard_idx);
-        ctx.set_timer(rto, timer_token(g, epoch));
-    }
-}
-
-#[derive(Clone)]
-struct ColPhase {
-    block: Option<BlockIdx>,
-    values: usize,
-    min_next: i64,
-}
-
-impl ColPhase {
-    fn fresh() -> Self {
-        ColPhase {
-            block: None,
-            values: 0,
-            min_next: i64::MAX,
+        match self.phases.on_timer(g, ctx.now().as_nanos()) {
+            Expiry::Idle => {}
+            Expiry::Resend { waited, backoff } => {
+                if backoff {
+                    self.counters.backoffs.inc();
+                }
+                self.resend(ctx, g, Some(waited));
+            }
+            Expiry::GiveUp { .. } => {
+                // The shard is unreachable. Halt as failed so the
+                // simulation drains instead of re-arming timers forever.
+                self.failed = true;
+                self.counters.peer_unresponsive.inc();
+                self.failed_sink
+                    .lock()
+                    .expect("failed sink poisoned")
+                    .push(self.wid);
+                ctx.halt();
+            }
+            Expiry::Failover { .. } => unreachable!("the simulator models no standby"),
         }
     }
 }
 
-struct VSlot {
-    cols: [Vec<ColPhase>; 2],
-    seen: [Vec<bool>; 2],
-    count: [usize; 2],
+/// Per owned stream and version: each column's value count (0 when every
+/// contribution was an ack) and the retained result.
+struct SimPayload {
+    values: [Vec<usize>; 2],
     result: [Option<Vec<SimEntry>>; 2],
 }
 
 struct RecAgg {
     cfg: OmniConfig,
-    layout: StreamLayout,
     shard: usize,
     workers: Vec<ActorId>,
-    slots: Vec<Option<VSlot>>,
+    table: PhaseTable,
+    /// Payloads per stream (`None` = not owned by this shard).
+    payload: Vec<Option<SimPayload>>,
+    row: Vec<ColEntry>,
     counters: RecCounters,
     /// Flight lane recording simulated-time protocol events.
     flight: FlightLane,
-    /// Current membership epoch; bumped on every eviction.
-    epoch: u8,
-    /// Workers evicted for simulated-time silence.
-    evicted: Vec<bool>,
-    /// Last simulated time each worker was heard from.
-    last_heard: Vec<SimTime>,
-    /// Whether any phase is in flight (mirrors the live engine's
-    /// idle→busy liveness-clock refresh).
-    busy: bool,
     /// Eviction threshold; `None` disables the sweep entirely (the
-    /// pre-membership behavior, and the default for all entry points
-    /// without a [`SimMembership`] plan).
+    /// default for all entry points without a [`SimMembership`] plan).
     eviction_timeout: Option<SimTime>,
 }
 
 impl RecAgg {
-    fn waiting_on(&self, w: usize) -> bool {
-        self.slots
-            .iter()
-            .flatten()
-            .any(|slot| (0..2).any(|v| slot.count[v] > 0 && !slot.seen[v][w]))
+    fn record(&self, now: SimTime, kind: FlightEventKind, block: u64, wid: u16, aux: u64) {
+        self.flight
+            .record_at(now.as_nanos(), kind, 0, block, self.shard as u16, wid, aux);
     }
 
-    fn fully_idle(&self) -> bool {
-        self.slots
-            .iter()
-            .flatten()
-            .all(|slot| slot.count[0] == 0 && slot.count[1] == 0)
-    }
-
-    /// Contributions version `v` of slot `g` needs: all workers minus
-    /// the evicted ones that have not already contributed.
-    fn needed(&self, g: usize, v: usize) -> usize {
-        let slot = self.slots[g].as_ref().expect("owned stream");
-        let missing_evicted = (0..self.cfg.num_workers)
-            .filter(|&w| self.evicted[w] && !slot.seen[v][w])
-            .count();
-        self.cfg.num_workers - missing_evicted
+    fn arm_sweep(&self, ctx: &mut Ctx<RecMsg>) {
+        if let Some(timeout) = self.eviction_timeout {
+            let tick = SimTime::from_nanos((timeout.as_nanos() / 4).max(1_000));
+            ctx.set_timer(tick, SWEEP_TOKEN);
+        }
     }
 
     fn complete_if_ready(&mut self, ctx: &mut Ctx<RecMsg>, g: usize, v: usize) {
-        let n = self.cfg.num_workers;
-        let needed = self.needed(g, v);
-        let slot = self.slots[g].as_mut().expect("owned stream");
-        if slot.count[v] == 0 || slot.count[v] < needed {
+        let mut row = std::mem::take(&mut self.row);
+        if self.table.complete(g, v as u8, &mut row) == Completion::Pending {
+            self.row = row;
             return;
         }
-        slot.count[v] = 0;
-        let mut result = Vec::new();
-        for (c, cp) in slot.cols[v].iter().enumerate() {
-            let Some(block) = cp.block else { continue };
-            let min_next = if cp.min_next == i64::MAX || cp.min_next == INFINITY_BLOCK as i64 {
-                INFINITY_BLOCK
-            } else {
-                cp.min_next as BlockIdx
-            };
-            result.push(SimEntry {
-                block,
-                col: c,
-                next: min_next,
-                values: cp.values,
-            });
-        }
-        // Forget evicted workers' seen bits so the next phase of this
-        // version does not count them as pending contributors.
-        for w in 0..n {
-            if self.evicted[w] {
-                slot.seen[v][w] = false;
-            }
-        }
+        let payload = self.payload[g].as_mut().expect("owned stream");
+        let result: Vec<SimEntry> = row
+            .iter()
+            .map(|r| SimEntry {
+                block: r.block,
+                col: r.col,
+                next: r.next,
+                values: payload.values[v][r.col],
+            })
+            .collect();
+        self.row = row;
         let bytes = msg_bytes(self.cfg.stream_id, &result);
         if let Some(first) = result.first() {
-            self.flight.record_at(
-                ctx.now().as_nanos(),
+            let entries = result.len() as u64;
+            self.record(
+                ctx.now(),
                 FlightEventKind::ResultTx,
-                0,
                 first.block as u64,
-                self.shard as u16,
                 u16::MAX,
-                result.len() as u64,
+                entries,
             );
         }
         for (w, actor) in self.workers.iter().enumerate() {
-            if self.evicted[w] {
-                continue;
+            if self.table.is_member(w) {
+                ctx.send(
+                    *actor,
+                    RecMsg::Result {
+                        stream: g,
+                        ver: v as u8,
+                        epoch: self.table.epoch(),
+                        entries: result.clone(),
+                    },
+                    bytes,
+                );
             }
-            ctx.send(
-                *actor,
-                RecMsg::Result {
-                    stream: g,
-                    ver: v as u8,
-                    epoch: self.epoch,
-                    entries: result.clone(),
-                },
-                bytes,
-            );
         }
-        self.slots[g].as_mut().expect("owned stream").result[v] = Some(result);
-        if self.fully_idle() {
-            self.busy = false;
-        }
+        self.payload[g].as_mut().expect("owned stream").result[v] = Some(result);
     }
 }
 
 impl Process<RecMsg> for RecAgg {
     fn on_start(&mut self, _ctx: &mut Ctx<RecMsg>) {
-        let layout = self.layout;
-        let n = self.cfg.num_workers;
-        let width = layout.width();
-        self.slots = (0..layout.total_streams())
-            .map(|g| {
-                (self.cfg.shard_of_stream(g) == self.shard && layout.first_block(g, 0).is_some())
-                    .then(|| VSlot {
-                        cols: [
-                            vec![ColPhase::fresh(); width],
-                            vec![ColPhase::fresh(); width],
-                        ],
-                        seen: [vec![false; n], vec![false; n]],
-                        count: [0, 0],
-                        result: [None, None],
-                    })
-            })
-            .collect();
-        self.evicted = vec![false; n];
-        self.last_heard = vec![SimTime::ZERO; n];
         // Never halts: stays able to retransmit results. The run ends
         // when the queue drains.
     }
@@ -756,103 +502,86 @@ impl Process<RecMsg> for RecAgg {
             stream: g,
             ver,
             wid,
-            epoch: _,
+            epoch,
             entries,
         } = msg
         else {
-            panic!("aggregator got non-data");
+            panic!("aggregator got a worker-bound message");
         };
         let v = (ver & 1) as usize;
-        if self.evicted[wid] {
-            // Zombie: in-flight packets from an evicted worker. Its
-            // phase accounting was renormalized without it.
+        let now = ctx.now();
+        let was_busy = self.table.busy();
+        let contribution = self.table.on_data(wid, g, ver, epoch, now.as_nanos());
+        if matches!(
+            contribution,
+            Contribution::Zombie | Contribution::StaleEpoch
+        ) {
             return;
         }
-        let now = ctx.now();
-        self.last_heard[wid] = now;
-        if !self.busy {
-            // Idle→busy edge: a new round starts. Restart every
-            // member's liveness clock (silence between rounds must not
-            // count) and arm the eviction sweep.
-            self.busy = true;
-            for t in self.last_heard.iter_mut() {
-                *t = now;
-            }
-            if let Some(timeout) = self.eviction_timeout {
-                let tick = SimTime::from_nanos((timeout.as_nanos() / 4).max(1_000));
-                ctx.set_timer(tick, SWEEP_TOKEN);
-            }
+        if !was_busy {
+            // Idle→busy edge: a new round starts; arm the eviction sweep.
+            self.arm_sweep(ctx);
         }
         // Keyed by the first entry's block, mirroring the sender's
         // PacketTx so the reconstructor pairs tx with rx.
         if let Some(first) = entries.first() {
-            self.flight.record_at(
-                ctx.now().as_nanos(),
+            let n = entries.len() as u64;
+            self.record(
+                now,
                 FlightEventKind::PacketRx,
-                0,
                 first.block as u64,
-                self.shard as u16,
                 wid as u16,
-                entries.len() as u64,
+                n,
             );
         }
-        let slot = self.slots[g].as_mut().expect("owned stream");
-
-        if slot.seen[v][wid] {
-            // Duplicate: if the phase completed, the worker missed the
-            // result — unicast it back.
-            self.counters.duplicates_ignored.inc();
-            if slot.count[v] == 0 {
-                if let Some(result) = slot.result[v].clone() {
+        let payload = self.payload[g].as_mut().expect("owned stream");
+        match contribution {
+            Contribution::Resend => {
+                self.counters.duplicates_ignored.inc();
+                if let Some(result) = payload.result[v].clone() {
                     self.counters.result_retransmissions.inc();
                     let bytes = msg_bytes(self.cfg.stream_id, &result);
-                    ctx.send(
-                        self.workers[wid],
-                        RecMsg::Result {
-                            stream: g,
-                            ver: v as u8,
-                            epoch: self.epoch,
-                            entries: result,
-                        },
-                        bytes,
-                    );
+                    let epoch = self.table.epoch();
+                    let result = RecMsg::Result {
+                        stream: g,
+                        ver: v as u8,
+                        epoch,
+                        entries: result,
+                    };
+                    ctx.send(self.workers[wid], result, bytes);
                 }
             }
-            // Mirror the live engine: a trailing duplicate of a
-            // completed phase opened no work, so the idle→busy edge
-            // above was spurious — clear it, or the armed eviction
-            // sweep re-arms forever and the run never drains.
-            if self.busy && self.fully_idle() {
-                self.busy = false;
+            Contribution::Stalled => {
+                self.counters.duplicates_ignored.inc();
+                let bytes = msg_bytes(self.cfg.stream_id, &[]);
+                for w in self.table.missing(g, ver) {
+                    self.counters.nacks_sent.inc();
+                    self.record(now, FlightEventKind::NackTx, NO_BLOCK, w as u16, 0);
+                    ctx.send(self.workers[w], RecMsg::Nack { stream: g, ver }, bytes);
+                }
             }
-            return;
-        }
-        slot.seen[v][wid] = true;
-        slot.seen[v ^ 1][wid] = false;
-        slot.count[v] += 1;
-        if slot.count[v] == 1 {
-            for col in slot.cols[v].iter_mut() {
-                *col = ColPhase::fresh();
+            Contribution::Fresh { opened } => {
+                if opened {
+                    payload.values[v].fill(0);
+                    payload.result[v] = None;
+                }
+                for e in &entries {
+                    let c = ColEntry {
+                        col: e.col,
+                        block: e.block,
+                        next: e.next,
+                    };
+                    if e.values == 0 {
+                        self.table.fold(g, ver, Reply::Ack(c));
+                    } else {
+                        self.table.fold(g, ver, Reply::Data(c));
+                        payload.values[v][e.col] = e.values;
+                    }
+                }
+                self.complete_if_ready(ctx, g, v);
             }
-            slot.result[v] = None;
+            Contribution::Zombie | Contribution::StaleEpoch => unreachable!(),
         }
-        for e in &entries {
-            let cp = &mut slot.cols[v][e.col];
-            // Mirror the live engine: acks record the requested block
-            // too, so an all-ack phase (evicted min_next owner) still
-            // emits a chain-advancing result entry.
-            debug_assert!(cp.block.is_none() || cp.block == Some(e.block));
-            cp.block = Some(e.block);
-            if e.values > 0 {
-                cp.values = e.values;
-            }
-            cp.min_next = cp.min_next.min(if e.next == INFINITY_BLOCK {
-                INFINITY_BLOCK as i64
-            } else {
-                e.next as i64
-            });
-        }
-        self.complete_if_ready(ctx, g, v);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<RecMsg>, token: u64) {
@@ -860,64 +589,31 @@ impl Process<RecMsg> for RecAgg {
         let Some(timeout) = self.eviction_timeout else {
             return;
         };
-        if !self.busy {
+        if !self.table.busy() {
             // Fully idle: nothing is owed, so nobody can be evicted.
             // Not re-arming lets the event queue drain; the next
             // idle→busy edge re-arms the sweep.
             return;
         }
         let now = ctx.now();
-        for w in 0..self.cfg.num_workers {
-            if self.evicted[w] || !self.waiting_on(w) {
-                continue;
-            }
-            let idle =
-                SimTime::from_nanos(now.as_nanos().saturating_sub(self.last_heard[w].as_nanos()));
-            if idle <= timeout {
-                continue;
-            }
-            self.evicted[w] = true;
-            self.flight.record_at(
-                now.as_nanos(),
-                FlightEventKind::Eviction,
-                0,
-                NO_BLOCK,
-                self.shard as u16,
-                w as u16,
-                idle.as_nanos(),
-            );
-            // Eviction is a membership change: bump the epoch so the
+        while let Some((w, idle)) = self.table.overdue(now.as_nanos(), timeout.as_nanos()) {
+            // Eviction is a membership change: the epoch bump makes the
             // survivors' flight lanes record the same `EpochChange`
             // sequence a live chaos run would.
-            self.epoch = self.epoch.wrapping_add(1);
-            self.flight.record_at(
-                now.as_nanos(),
-                FlightEventKind::EpochChange,
-                0,
-                NO_BLOCK,
-                self.shard as u16,
-                w as u16,
-                self.epoch as u64,
-            );
-            // Renormalize in-flight phases without the evicted worker;
-            // idle versions just forget its contribution marker.
-            for g in 0..self.slots.len() {
-                if self.slots[g].is_none() {
-                    continue;
-                }
-                for v in 0..2 {
-                    let slot = self.slots[g].as_mut().expect("owned stream");
-                    if slot.count[v] == 0 {
-                        slot.seen[v][w] = false;
-                    } else {
-                        self.complete_if_ready(ctx, g, v);
-                    }
+            self.table.evict(w);
+            self.record(now, FlightEventKind::Eviction, NO_BLOCK, w as u16, idle);
+            let epoch = self.table.epoch() as u64;
+            self.record(now, FlightEventKind::EpochChange, NO_BLOCK, w as u16, epoch);
+            // Renormalize: phases in flight may now complete without it.
+            for g in 0..self.payload.len() {
+                if self.payload[g].is_some() {
+                    self.complete_if_ready(ctx, g, 0);
+                    self.complete_if_ready(ctx, g, 1);
                 }
             }
         }
-        if self.busy {
-            let tick = SimTime::from_nanos((timeout.as_nanos() / 4).max(1_000));
-            ctx.set_timer(tick, SWEEP_TOKEN);
+        if self.table.busy() {
+            self.arm_sweep(ctx);
         }
     }
 }
@@ -925,10 +621,11 @@ impl Process<RecMsg> for RecAgg {
 /// Simulates one Algorithm 2 AllReduce over a lossy fabric.
 ///
 /// `loss` is the per-packet drop probability applied on every NIC;
-/// `timeout` the workers' (fixed) retransmission timeout; `seed` drives
-/// the loss process (runs are deterministic per seed). For the adaptive
-/// RTO policy use [`simulate_recovery_allreduce_with_telemetry`] with a
-/// [`SimRtoConfig`].
+/// `timeout` the workers' fixed retransmission timeout (with a retry
+/// budget of 1000, so a simulation against a dead peer still drains);
+/// `seed` drives the loss process (runs are deterministic per seed). For
+/// any other policy — the adaptive RTO, another budget — set it on `cfg`
+/// and use [`simulate_recovery_allreduce_with_telemetry`].
 pub fn simulate_recovery_allreduce(
     cfg: &OmniConfig,
     worker_nic: NicConfig,
@@ -938,35 +635,29 @@ pub fn simulate_recovery_allreduce(
     bitmaps: &[NonZeroBitmap],
     seed: u64,
 ) -> SimOutcome {
-    simulate_recovery_allreduce_with_telemetry(
-        cfg,
-        worker_nic,
-        agg_nic,
-        loss,
-        SimRtoConfig::fixed(timeout),
-        bitmaps,
-        seed,
-        None,
-    )
+    let cfg = cfg
+        .clone()
+        .with_fixed_rto(Duration::from_nanos(timeout.as_nanos()))
+        .with_max_retransmits(1000);
+    simulate_recovery_allreduce_with_telemetry(&cfg, worker_nic, agg_nic, loss, bitmaps, seed, None)
 }
 
-/// Like [`simulate_recovery_allreduce`], but takes the full
-/// retransmission policy ([`SimRtoConfig`]) and reports loss-path
-/// counters (`core.sim_recovery.*`) and fabric counters (`simnet.*`)
-/// into `telemetry` when one is given.
-#[allow(clippy::too_many_arguments)]
+/// Like [`simulate_recovery_allreduce`], but with the retransmission
+/// policy `cfg` carries ([`OmniConfig::adaptive_rto`],
+/// `retransmit_timeout`, `rto_min`, `rto_max`, `max_retransmits`), and
+/// reporting loss-path counters (`core.sim_recovery.*`) and fabric
+/// counters (`simnet.*`) into `telemetry` when one is given.
 pub fn simulate_recovery_allreduce_with_telemetry(
     cfg: &OmniConfig,
     worker_nic: NicConfig,
     agg_nic: NicConfig,
     loss: f64,
-    rto: SimRtoConfig,
     bitmaps: &[NonZeroBitmap],
     seed: u64,
     telemetry: Option<&Telemetry>,
 ) -> SimOutcome {
     simulate_recovery_allreduce_with_membership(
-        cfg, worker_nic, agg_nic, loss, rto, bitmaps, seed, 1, None, telemetry,
+        cfg, worker_nic, agg_nic, loss, bitmaps, seed, 1, None, telemetry,
     )
 }
 
@@ -981,13 +672,15 @@ pub fn simulate_recovery_allreduce_with_telemetry(
 ///
 /// `completion` covers the *surviving* workers only; departed workers
 /// halt at their scripted time and are excluded.
+///
+/// # Panics
+/// Panics when `cfg` asks for hot standbys: the simulator models none.
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_recovery_allreduce_with_membership(
     cfg: &OmniConfig,
     worker_nic: NicConfig,
     agg_nic: NicConfig,
     loss: f64,
-    rto: SimRtoConfig,
     bitmaps: &[NonZeroBitmap],
     seed: u64,
     threads: usize,
@@ -995,6 +688,7 @@ pub fn simulate_recovery_allreduce_with_membership(
     telemetry: Option<&Telemetry>,
 ) -> SimOutcome {
     cfg.validate();
+    assert!(!cfg.hot_standby, "the simulator models no hot standby");
     if let Some(m) = membership {
         assert_eq!(m.depart_at.len(), cfg.num_workers, "plan/worker mismatch");
     }
@@ -1007,15 +701,6 @@ pub fn simulate_recovery_allreduce_with_membership(
     );
     let mut sim: Simulator<RecMsg> = Simulator::new(seed);
     sim.set_threads(threads.max(1));
-    // Debug belt: cap the event budget from the environment so a
-    // protocol livelock panics with the simulated time instead of
-    // spinning silently (pair with OMNIREDUCE_SIM_TRACE to see the
-    // repeating cycle).
-    if let Ok(v) = std::env::var("OMNIREDUCE_SIM_MAX_EVENTS") {
-        if let Ok(n) = v.parse() {
-            sim.set_max_events(n);
-        }
-    }
     if let Some(t) = telemetry {
         sim.attach_telemetry(t.clone());
     }
@@ -1038,6 +723,7 @@ pub fn simulate_recovery_allreduce_with_membership(
         Some(t) => t.flight().lane(name, role, actor),
         None => FlightLane::disabled(),
     };
+    let streams = layout.total_streams();
     for (w, bm) in bitmaps.iter().enumerate() {
         sim.add_actor(
             worker_nics[w],
@@ -1047,21 +733,9 @@ pub fn simulate_recovery_allreduce_with_membership(
                 wid: w,
                 bitmap: Arc::new(bm.clone()),
                 shards: shard_ids.clone(),
-                rto_cfg: rto,
-                rtt: (0..cfg.num_aggregators)
-                    .map(|a| {
-                        RttEstimator::new(
-                            Duration::from_nanos(rto.initial.as_nanos()),
-                            Duration::from_nanos(rto.min.as_nanos()),
-                            Duration::from_nanos(rto.max.as_nanos()),
-                            // Deterministic per-(worker, shard) jitter.
-                            0x9E37_79B9_7F4A_7C15 ^ ((w as u64) << 16) ^ a as u64,
-                        )
-                    })
-                    .collect(),
-                streams: Vec::new(),
-                pending: 0,
-                retransmissions: 0,
+                phases: WorkerPhases::new(cfg, w),
+                sent: vec![None; streams],
+                timer_gen: vec![0; streams],
                 failed: false,
                 epoch: 0,
                 depart_at: membership.and_then(|m| m.depart_at[w]),
@@ -1073,20 +747,26 @@ pub fn simulate_recovery_allreduce_with_membership(
         );
     }
     for (a, nic) in shard_nics.iter().enumerate() {
+        let owned = (a..streams).step_by(cfg.num_aggregators);
+        let values = vec![0; layout.width()];
         sim.add_actor(
             *nic,
             Box::new(RecAgg {
                 cfg: cfg.clone(),
-                layout,
                 shard: a,
                 workers: worker_ids.clone(),
-                slots: Vec::new(),
+                table: PhaseTable::new(layout, owned, cfg.num_workers),
+                payload: (0..streams)
+                    .map(|g| {
+                        (cfg.shard_of_stream(g) == a).then(|| SimPayload {
+                            values: [values.clone(), values.clone()],
+                            result: [None, None],
+                        })
+                    })
+                    .collect(),
+                row: Vec::new(),
                 counters: counters.clone(),
                 flight: flight_lane(&format!("agg{a}"), LaneRole::Aggregator, a as u16),
-                epoch: 0,
-                evicted: Vec::new(),
-                last_heard: Vec::new(),
-                busy: false,
                 eviction_timeout: membership.map(|m| m.eviction_timeout),
             }),
         );
@@ -1136,6 +816,13 @@ mod tests {
 
     fn nic() -> NicConfig {
         NicConfig::symmetric(Bandwidth::gbps(10.0), SimTime::from_micros(15))
+    }
+
+    /// `cfg` with a fixed 500 µs RTO and a budget of 1000 retries.
+    fn fixed_rto(cfg: &OmniConfig) -> OmniConfig {
+        cfg.clone()
+            .with_fixed_rto(Duration::from_micros(500))
+            .with_max_retransmits(1000)
     }
 
     fn run(loss: f64, seed: u64) -> SimOutcome {
@@ -1202,11 +889,10 @@ mod tests {
         let run = |seed| {
             let telemetry = Telemetry::with_observability(0, 1 << 16);
             let out = simulate_recovery_allreduce_with_membership(
-                &cfg,
+                &fixed_rto(&cfg),
                 nic(),
                 nic(),
                 0.0,
-                SimRtoConfig::fixed(SimTime::from_micros(500)),
                 &bms,
                 seed,
                 1,
@@ -1220,11 +906,10 @@ mod tests {
         // then complete degraded: strictly slower than the clean run,
         // and no survivor exhausts its retry budget.
         let clean = simulate_recovery_allreduce_with_membership(
-            &cfg,
+            &fixed_rto(&cfg),
             nic(),
             nic(),
             0.0,
-            SimRtoConfig::fixed(SimTime::from_micros(500)),
             &bms,
             3,
             1,
@@ -1269,11 +954,10 @@ mod tests {
         let (cfg, bms) = setup(4, 1 << 18, 0.5);
         let go = |plan: Option<&SimMembership>| {
             simulate_recovery_allreduce_with_membership(
-                &cfg,
+                &fixed_rto(&cfg),
                 nic(),
                 nic(),
                 0.002,
-                SimRtoConfig::fixed(SimTime::from_micros(500)),
                 &bms,
                 21,
                 1,
@@ -1300,11 +984,10 @@ mod tests {
         let (cfg, bms) = setup(4, 1 << 12, 0.5);
         let plan = SimMembership::stable(4, SimTime::from_micros(50_000));
         let out = simulate_recovery_allreduce_with_membership(
-            &cfg,
+            &fixed_rto(&cfg),
             nic(),
             nic(),
             0.002,
-            SimRtoConfig::fixed(SimTime::from_micros(500)),
             &bms,
             21,
             1,
@@ -1315,6 +998,25 @@ mod tests {
         // The whole run is a few hundred events; a wedged sweep burns
         // the full 2-billion budget instead.
         assert!(out.report.events < 10_000, "events: {}", out.report.events);
+    }
+
+    /// The simulator charges a NACK what the codec puts on the wire for
+    /// one, on the legacy and the stream-tagged block header alike.
+    #[test]
+    fn nack_costs_the_codec_empty_nack_packet() {
+        use omnireduce_transport::{codec, Message, Packet, PacketKind};
+        for stream in [0, 7] {
+            let nack = Message::Block(Packet {
+                kind: PacketKind::Nack,
+                ver: 1,
+                slot: 3,
+                stream,
+                wid: u16::MAX,
+                epoch: 2,
+                entries: Vec::new(),
+            });
+            assert_eq!(msg_bytes(stream, &[]), codec::encoded_len(&nack));
+        }
     }
 
     #[test]

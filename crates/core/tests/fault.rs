@@ -516,6 +516,35 @@ fn failover_replay_reproduces_stats_and_telemetry_exactly() {
     });
 }
 
+/// Regression: after a failover, a packet lost on the way to the standby
+/// must be retransmitted *to the standby*. Worker 0's first resend to it
+/// is dropped; a timer retransmission addressed to the dead primary
+/// would wedge the run until the deadline.
+#[test]
+fn failover_survives_loss_on_the_standby_link() {
+    with_deadline(Duration::from_secs(30), || {
+        let cfg = failover_cfg(1, 512);
+        let inputs = gen_inputs(1, 512, 41);
+        let base = run_chaos(&cfg, &FaultPlan::new(1), &inputs, None);
+        assert!(
+            base.workers[0].result.is_ok(),
+            "{:?}",
+            base.workers[0].result
+        );
+
+        let plan = FaultPlan::new(43)
+            .crash_after(cfg.aggregator_node(0), 3)
+            .partition(cfg.worker_node(0), cfg.standby_node(0), 0, 1);
+        let out = run_chaos(&cfg, &plan, &inputs, None);
+        let o = &out.workers[0];
+        assert!(o.result.is_ok(), "{:?}", o.result);
+        assert_eq!(o.stats.failovers, 1, "expected exactly one failover");
+        let diff = o.output.max_abs_diff(&base.workers[0].output);
+        assert_eq!(diff, 0.0, "failover result differs by {diff}");
+        assert!(out.standbys[0].0.is_ok(), "{:?}", out.standbys[0].0);
+    });
+}
+
 /// Acceptance (sharded): crashing one shard's primary mid-stream while
 /// the other shard stays healthy completes via that shard's standby,
 /// bit-identical to the uninterrupted sharded run.
@@ -711,7 +740,7 @@ proptest! {
 #[test]
 fn sim_adaptive_rto_is_deterministic_per_seed() {
     use omnireduce_core::sim::bitmaps_from_sets;
-    use omnireduce_core::sim_recovery::{simulate_recovery_allreduce_with_telemetry, SimRtoConfig};
+    use omnireduce_core::sim_recovery::simulate_recovery_allreduce_with_telemetry;
     use omnireduce_simnet::{Bandwidth, NicConfig, SimTime};
     use omnireduce_tensor::gen::worker_block_sets;
 
@@ -719,15 +748,12 @@ fn sim_adaptive_rto_is_deterministic_per_seed() {
         .with_block_size(256)
         .with_fusion(4)
         .with_streams(8)
-        .with_aggregators(4);
+        .with_aggregators(4)
+        .with_initial_rto(Duration::from_micros(2000))
+        .with_rto_bounds(Duration::from_micros(200), Duration::from_millis(50));
     let nblocks = cfg.block_spec().block_count(1 << 18);
     let bms = bitmaps_from_sets(&worker_block_sets(4, nblocks, 0.5, OverlapMode::Random, 3));
     let nic = NicConfig::symmetric(Bandwidth::gbps(10.0), SimTime::from_micros(15));
-    let rto = SimRtoConfig::adaptive(
-        SimTime::from_micros(2000),
-        SimTime::from_micros(200),
-        SimTime::from_millis(50),
-    );
     let run = || {
         let telemetry = Telemetry::new();
         let out = simulate_recovery_allreduce_with_telemetry(
@@ -735,7 +761,6 @@ fn sim_adaptive_rto_is_deterministic_per_seed() {
             nic,
             nic,
             0.01,
-            rto,
             &bms,
             42,
             Some(&telemetry),

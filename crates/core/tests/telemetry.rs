@@ -6,6 +6,8 @@
 //! `results/<slug>.metrics.json`: the JSON is an alternative view of the
 //! same experiment, not a second (possibly drifting) measurement.
 
+use std::time::Duration;
+
 use omnireduce_core::config::OmniConfig;
 use omnireduce_core::sim::{bitmaps_from_sets, simulate_allreduce, SimSpec};
 use omnireduce_core::sim_recovery::simulate_recovery_allreduce_with_telemetry;
@@ -95,11 +97,12 @@ fn recovery_sim_counts_retransmissions_under_loss() {
     let nic = NicConfig::symmetric(Bandwidth::gbps(10.0), SimTime::from_micros(5));
     let telemetry = Telemetry::new();
     let out = simulate_recovery_allreduce_with_telemetry(
-        &cfg,
+        &cfg.clone()
+            .with_fixed_rto(Duration::from_micros(4000))
+            .with_max_retransmits(1000),
         nic,
         nic,
         0.05,
-        omnireduce_core::sim_recovery::SimRtoConfig::fixed(SimTime::from_micros(4000)),
         &bms,
         42,
         Some(&telemetry),

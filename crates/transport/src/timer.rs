@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 /// time the aggregator waits for the *slowest* worker of the phase, so
 /// the estimator learns the loaded phase latency — exactly the quantity
 /// a fixed timer chronically under- or over-shoots.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct RttEstimator {
     /// Smoothed RTT in nanoseconds; `None` until the first sample.
     srtt_ns: Option<u64>,

@@ -50,7 +50,12 @@ step "build (dev)" cargo build "${CARGO_FLAGS[@]}" --workspace
 if [[ "$FAST" -eq 0 ]]; then
   step "build (release)" cargo build "${CARGO_FLAGS[@]}" --workspace --release
 fi
+# The tests must leave the checkout as they found it: one that writes
+# into the source tree dirties every later commit.
+tree_before="$(git status --porcelain 2>/dev/null)"
 step "test" cargo test "${CARGO_FLAGS[@]}" --workspace -q
+step "tests leave the checkout clean" \
+  test "$tree_before" = "$(git status --porcelain 2>/dev/null)"
 
 # Fault-injection suite, run explicitly and under a step-level timeout:
 # these tests exercise crash/partition/straggler recovery, so a
@@ -83,6 +88,14 @@ step_t 300 "failover suite" \
 # timeout belt.
 step_t 300 "sharded interleave suite" \
   cargo test "${CARGO_FLAGS[@]}" -p omnireduce-core --test shard_interleave -q
+
+# Algorithm 2 exhaustive suite (§16): every schedule of drops,
+# duplicates, timer fires and an eviction over small scopes of the pure
+# recovery machines — termination, no spurious give-up, no double fold,
+# and the same rows as Algorithm 1. A livelock is reported, not hung on;
+# the timeout belt is for the search itself.
+step_t 300 "algorithm 2 exhaustive" \
+  cargo test "${CARGO_FLAGS[@]}" -p omnireduce-core --test recovery_exhaustive -q
 
 # Cross-engine differential suite: every protocol implementation
 # (lossless, recovery clean/lossy, sharded {1,2,4}-aggregator columns,

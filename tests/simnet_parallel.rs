@@ -17,10 +17,9 @@
 
 use std::time::Duration;
 
+use omnireduce::core::config::OmniConfig;
 use omnireduce::core::sim::{simulate_allreduce, SimOutcome, SimSpec};
-use omnireduce::core::sim_recovery::{
-    simulate_recovery_allreduce_with_membership, SimMembership, SimRtoConfig,
-};
+use omnireduce::core::sim_recovery::{simulate_recovery_allreduce_with_membership, SimMembership};
 use omnireduce::core::testing::{
     assert_bits_eq, config_of, gen_inputs, run_group, scalar_oracle, scenarios, with_deadline,
 };
@@ -32,6 +31,13 @@ const THREADS: [usize; 3] = [1, 2, 8];
 
 fn nic() -> NicConfig {
     NicConfig::symmetric(Bandwidth::gbps(10.0), SimTime::from_micros(5))
+}
+
+/// `cfg` with a fixed 500 µs RTO and a budget of 1000 retries.
+fn fixed_rto(cfg: &OmniConfig) -> OmniConfig {
+    cfg.clone()
+        .with_fixed_rto(Duration::from_micros(500))
+        .with_max_retransmits(1000)
 }
 
 fn bitmaps(tensors: &[Tensor], block_size: usize) -> Vec<NonZeroBitmap> {
@@ -174,11 +180,10 @@ fn recovery_sim_matrix_is_thread_count_invariant() {
             let run = |threads: usize| {
                 let telemetry = Telemetry::with_observability(0, 1 << 16);
                 let out = simulate_recovery_allreduce_with_membership(
-                    &cfg,
+                    &fixed_rto(&cfg),
                     nic(),
                     nic(),
                     sc.loss,
-                    SimRtoConfig::fixed(SimTime::from_micros(500)),
                     &bms,
                     sc.seed,
                     threads,
@@ -235,11 +240,10 @@ fn membership_eviction_is_thread_count_invariant() {
         let run = |threads: usize| {
             let telemetry = Telemetry::with_observability(0, 1 << 16);
             let out = simulate_recovery_allreduce_with_membership(
-                &cfg,
+                &fixed_rto(&cfg),
                 nic(),
                 nic(),
                 0.0,
-                SimRtoConfig::fixed(SimTime::from_micros(500)),
                 &bms,
                 sc.seed,
                 threads,
