@@ -90,7 +90,7 @@ fn failover_cfg(elements: usize) -> OmniConfig {
 fn run(cfg: &OmniConfig, plan: &FaultPlan, inputs: &[Tensor]) -> Outcome {
     let telemetry = Telemetry::with_observability(0, 1 << 16);
     let mut net = ChannelNetwork::new(cfg.mesh_size());
-    let endpoints = ChaosNetwork::wrap_with_telemetry(net.endpoints(), plan, &telemetry);
+    let endpoints = ChaosNetwork::wrap(net.endpoints(), plan, Some(&telemetry));
     let mut endpoints: Vec<Option<_>> = endpoints.into_iter().map(Some).collect();
 
     let start = Instant::now();

@@ -3,10 +3,12 @@
 //!
 //! Sweeps loss rate × burstiness (uniform vs Gilbert–Elliott) × RTO mode
 //! (adaptive SRTT/RTTVAR+backoff vs the pre-robustness fixed 20 ms
-//! timer) over a wall-clock 8-worker AllReduce on the in-process lossy
-//! fabric. Deterministic aggregation (§7) makes every run's output
-//! bit-identical to the lossless reference, so "same correctness" is
-//! checked exactly, not within a tolerance.
+//! timer) over a wall-clock 8-worker AllReduce on in-process channels
+//! wrapped in a keyed-loss `FaultPlan`: the bursty pattern runs one
+//! Gilbert–Elliott chain per flow over its retransmission attempts, so
+//! a packet's resends die together. Deterministic aggregation (§7)
+//! makes every run's output bit-identical to the lossless reference, so
+//! "same correctness" is checked exactly, not within a tolerance.
 //!
 //! Why adaptive wins on *count*, not just latency: the estimator learns
 //! the phase-completion time distribution (SRTT + 4·RTTVAR), so workers
@@ -26,7 +28,7 @@ use omnireduce_core::RecoveryStats;
 use omnireduce_telemetry::Telemetry;
 use omnireduce_tensor::gen::{self, OverlapMode};
 use omnireduce_tensor::{BlockSpec, Tensor};
-use omnireduce_transport::{GilbertElliott, LossConfig, LossyNetwork};
+use omnireduce_transport::{ChannelNetwork, ChaosNetwork, FaultPlan, GilbertElliott, KeyedLoss};
 
 const N: usize = 8;
 const ELEMENTS: usize = 1 << 18; // 1 MB of f32
@@ -77,13 +79,14 @@ impl Pattern {
         }
     }
 
-    fn loss_config(self, rate: f64, seed: u64) -> LossConfig {
-        let cfg = LossConfig::drops(rate, seed);
-        match self {
-            Pattern::Uniform => cfg,
-            // Bad state drops 60% of packets; mean burst ≈ 3 packets.
-            Pattern::Bursty => cfg.with_burst(GilbertElliott::from_average(rate, 0.6, 0.35)),
-        }
+    fn plan(self, rate: f64, seed: u64) -> FaultPlan {
+        let loss = KeyedLoss::uniform(rate, 0.0);
+        FaultPlan::new(seed).loss(match self {
+            Pattern::Uniform => loss,
+            // Bad state drops 60% of attempts; a flow stays bad for
+            // ≈ 3 attempts on average.
+            Pattern::Bursty => loss.with_burst(GilbertElliott::from_average(rate, 0.6, 0.35)),
+        })
     }
 }
 
@@ -94,10 +97,13 @@ struct RunOutcome {
     wall_ms: f64,
 }
 
-fn run(cfg: &OmniConfig, inputs: &[Tensor], loss: LossConfig) -> RunOutcome {
+fn run(cfg: &OmniConfig, inputs: &[Tensor], plan: FaultPlan) -> RunOutcome {
     let telemetry = Telemetry::new();
-    let mut net = LossyNetwork::new(cfg.mesh_size(), loss).with_telemetry(&telemetry);
-    let endpoints = net.endpoints();
+    let endpoints = ChaosNetwork::wrap(
+        ChannelNetwork::new(cfg.mesh_size()).endpoints(),
+        &plan,
+        Some(&telemetry),
+    );
     let inputs: Vec<Vec<Tensor>> = inputs.iter().map(|t| vec![t.clone()]).collect();
     let start = Instant::now();
     let cfg2 = cfg.clone();
@@ -122,7 +128,7 @@ fn run(cfg: &OmniConfig, inputs: &[Tensor], loss: LossConfig) -> RunOutcome {
             .into_iter()
             .map(|mut o| o.remove(0))
             .collect(),
-        dropped: telemetry.snapshot().counter("transport.lossy.dropped"),
+        dropped: telemetry.snapshot().counter("transport.fault.keyed_drops"),
         wall_ms,
     }
 }
@@ -166,7 +172,7 @@ fn main() {
         &cfg.clone()
             .with_fixed_rto(std::time::Duration::from_secs(2)),
         &inputs,
-        LossConfig::drops(0.0, SEED),
+        FaultPlan::new(SEED),
     );
     assert!(
         reference.stats.retransmissions == 0,
@@ -203,7 +209,7 @@ fn main() {
                 for trial in 0..TRIALS {
                     let loss_seed =
                         (SEED ^ 0xFA17).wrapping_add(trial.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                    let out = run(&cfg, &inputs, pattern.loss_config(rate, loss_seed));
+                    let out = run(&cfg, &inputs, pattern.plan(rate, loss_seed));
                     let exact = out
                         .outputs
                         .iter()

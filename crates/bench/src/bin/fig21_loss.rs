@@ -1,7 +1,8 @@
 //! Figure 21 (Appendix D): AllReduce slowdown under packet loss.
 //!
-//! OmniReduce columns: the *executable* Algorithm 2 engines run over the
-//! loss-injecting transport, wall-clock measured on this machine — the
+//! OmniReduce columns: the *executable* Algorithm 2 engines run over
+//! channel endpoints wrapped in a keyed-loss `FaultPlan`, wall-clock
+//! measured on the host — the
 //! real retransmission machinery at loss rates 0.01%, 0.1% and 1%, for
 //! three sparsity levels, reported as the time difference vs a lossless
 //! run (the paper's metric).
@@ -18,7 +19,7 @@ use omnireduce_core::config::OmniConfig;
 use omnireduce_core::testing::run_recovery_group;
 use omnireduce_tensor::gen::{self, OverlapMode};
 use omnireduce_tensor::BlockSpec;
-use omnireduce_transport::{LossConfig, LossyNetwork};
+use omnireduce_transport::{ChannelNetwork, ChaosNetwork, FaultPlan, KeyedLoss};
 
 const N: usize = 2;
 /// 4 MB executable tensors (wall-clock measurement, single-core box).
@@ -39,8 +40,12 @@ fn measure(sparsity: f64, loss: f64) -> f64 {
         OverlapMode::Random,
         9,
     );
-    let mut net = LossyNetwork::new(cfg.mesh_size(), LossConfig::drops(loss, 77));
-    let endpoints = net.endpoints();
+    let plan = FaultPlan::new(77).loss(KeyedLoss::uniform(loss, 0.0));
+    let endpoints = ChaosNetwork::wrap(
+        ChannelNetwork::new(cfg.mesh_size()).endpoints(),
+        &plan,
+        None,
+    );
     let start = Instant::now();
     let _ = run_recovery_group(
         &cfg,

@@ -25,7 +25,7 @@
 //!
 //! Delivery assumption: like the paper's DPDK deployment, the network may
 //! drop or duplicate packets but does not reorder packets between a given
-//! pair of nodes ([`omnireduce_transport::LossyNetwork`] guarantees this).
+//! pair of nodes ([`omnireduce_transport::ChaosTransport`] guarantees this).
 
 use std::time::{Duration, Instant};
 

@@ -24,7 +24,7 @@
 //! * [`ShardedAllReduce`] deploys the whole group — N aggregator
 //!   engines and M workers on real OS threads — for the lossless and
 //!   the Algorithm 2 recovery engines, with optional per-shard fault
-//!   plans ([`ShardedChaosMesh`]).
+//!   plans ([`omnireduce_transport::ShardedMesh::chaos`]).
 //!
 //! **Determinism.** Every block is owned by exactly one shard, and
 //! workers write result blocks into disjoint tensor ranges, so
@@ -38,9 +38,7 @@
 use std::thread;
 
 use omnireduce_tensor::{BlockIdx, Tensor};
-use omnireduce_transport::{
-    FaultPlan, ShardBond, ShardedChannelMesh, ShardedChaosMesh, Transport, TransportError,
-};
+use omnireduce_transport::{FaultPlan, ShardBond, ShardedMesh, Transport, TransportError};
 
 use omnireduce_telemetry::Telemetry;
 
@@ -186,7 +184,7 @@ impl ShardedAllReduce {
     /// # Panics
     /// Panics when shapes don't match the config or any thread fails.
     pub fn run(cfg: &OmniConfig, inputs: Vec<Vec<Tensor>>) -> ShardedRunResult {
-        let mut mesh = ShardedChannelMesh::new(cfg.num_workers, cfg.num_aggregators);
+        let mut mesh = ShardedMesh::channels(cfg.num_workers, cfg.num_aggregators, false);
         let bonds = (0..cfg.num_workers).map(|w| mesh.worker_bond(w)).collect();
         let aggs = (0..cfg.num_aggregators)
             .map(|s| mesh.aggregator_endpoint(s))
@@ -202,7 +200,7 @@ impl ShardedAllReduce {
         inputs: Vec<Vec<Tensor>>,
         telemetry: &Telemetry,
     ) -> ShardedRunResult {
-        let mut mesh = ShardedChannelMesh::new(cfg.num_workers, cfg.num_aggregators);
+        let mut mesh = ShardedMesh::channels(cfg.num_workers, cfg.num_aggregators, false);
         let bonds = (0..cfg.num_workers).map(|w| mesh.worker_bond(w)).collect();
         let aggs = (0..cfg.num_aggregators)
             .map(|s| mesh.aggregator_endpoint(s))
@@ -220,7 +218,7 @@ impl ShardedAllReduce {
         inputs: Vec<Vec<Tensor>>,
     ) -> ShardedRunResult {
         assert_eq!(plans.len(), cfg.num_aggregators, "one plan per shard");
-        let mut mesh = ShardedChaosMesh::wrap(cfg.num_workers, plans);
+        let mut mesh = ShardedMesh::chaos(cfg.num_workers, plans, false, None);
         let bonds = (0..cfg.num_workers).map(|w| mesh.worker_bond(w)).collect();
         let aggs = (0..cfg.num_aggregators)
             .map(|s| mesh.aggregator_endpoint(s))
@@ -333,7 +331,7 @@ impl ShardedAllReduce {
     /// point.
     pub fn run_recovery(cfg: &OmniConfig, inputs: Vec<Vec<Tensor>>) -> ShardedRecoveryResult {
         assert_eq!(inputs.len(), cfg.num_workers, "one input set per worker");
-        let mut mesh = ShardedChannelMesh::new(cfg.num_workers, cfg.num_aggregators);
+        let mut mesh = ShardedMesh::channels(cfg.num_workers, cfg.num_aggregators, false);
 
         let mut agg_handles = Vec::new();
         for s in 0..cfg.num_aggregators {
@@ -423,14 +421,7 @@ impl ShardedAllReduce {
     ) -> ShardedChaosOutcome {
         assert_eq!(plans.len(), cfg.num_aggregators, "one plan per shard");
         assert_eq!(inputs.len(), cfg.num_workers, "one input per worker");
-        let mut mesh = if cfg.hot_standby {
-            ShardedChaosMesh::wrap_with_standby(cfg.num_workers, plans, telemetry)
-        } else {
-            match telemetry {
-                Some(t) => ShardedChaosMesh::wrap_with_telemetry(cfg.num_workers, plans, t),
-                None => ShardedChaosMesh::wrap(cfg.num_workers, plans),
-            }
-        };
+        let mut mesh = ShardedMesh::chaos(cfg.num_workers, plans, cfg.hot_standby, telemetry);
 
         let mut agg_handles = Vec::new();
         for s in 0..cfg.num_aggregators {

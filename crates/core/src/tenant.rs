@@ -1007,10 +1007,9 @@ impl TenantService {
                 };
                 engines.push(match &spec.plan {
                     Some(plan) => {
-                        let wrapped =
-                            ChaosNetwork::wrap_with_telemetry(vec![port], plan, &tenant_telemetry)
-                                .pop()
-                                .expect("wrap returns one endpoint per input");
+                        let wrapped = ChaosNetwork::wrap(vec![port], plan, Some(&tenant_telemetry))
+                            .pop()
+                            .expect("wrap returns one endpoint per input");
                         spawn_engine(
                             spec.engine,
                             wrapped,
@@ -1181,7 +1180,7 @@ impl TenantHandle {
                 let telemetry = self.telemetry.clone();
                 let wrapped = lanes
                     .into_iter()
-                    .map(|ls| ChaosNetwork::wrap_with_telemetry(ls, &plan, &telemetry))
+                    .map(|ls| ChaosNetwork::wrap(ls, &plan, Some(&telemetry)))
                     .collect();
                 self.run_lossless_over(wrapped, inputs)
             }
@@ -1316,7 +1315,7 @@ impl TenantHandle {
                 let telemetry = self.telemetry.clone();
                 let wrapped = lanes
                     .into_iter()
-                    .map(|ls| ChaosNetwork::wrap_with_telemetry(ls, &plan, &telemetry))
+                    .map(|ls| ChaosNetwork::wrap(ls, &plan, Some(&telemetry)))
                     .collect();
                 self.run_recovery_over(wrapped, inputs)
             }

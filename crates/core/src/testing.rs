@@ -158,8 +158,8 @@ pub struct RecoveryGroupResult {
 }
 
 /// Like [`run_group`] but over the Algorithm 2 loss-recovery engine and a
-/// caller-supplied transport mesh (typically a
-/// [`omnireduce_transport::LossyNetwork`]). `endpoints` must be indexed by
+/// caller-supplied transport mesh (typically channel endpoints wrapped by
+/// [`omnireduce_transport::ChaosNetwork`]). `endpoints` must be indexed by
 /// node id (workers first, shards after).
 pub fn run_recovery_group<T: Transport + 'static>(
     cfg: &OmniConfig,

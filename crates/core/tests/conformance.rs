@@ -30,8 +30,8 @@ use omnireduce_tensor::gen::{self, OverlapMode};
 use omnireduce_tensor::{BlockSpec, Tensor};
 use omnireduce_transport::codec::{decode_into, encode_into};
 use omnireduce_transport::{
-    BufferPool, ChannelNetwork, Entry, FaultPlan, KeyedLoss, LossConfig, LossyNetwork, Message,
-    NodeId, Packet, PacketKind,
+    BufferPool, ChannelNetwork, ChaosNetwork, Entry, FaultPlan, KeyedLoss, Message, NodeId, Packet,
+    PacketKind,
 };
 
 #[global_allocator]
@@ -96,11 +96,12 @@ fn recovery_engine_matches_scalar_oracle_under_loss() {
             let inputs = gen_inputs(&s);
             // Drops and duplicates: retransmissions and replays must fold
             // idempotently (two-phase versioned slots).
-            let mut net = LossyNetwork::new(
-                cfg.mesh_size(),
-                LossConfig::uniform(s.loss, s.loss / 2.0, s.seed),
+            let plan = FaultPlan::new(s.seed).loss(KeyedLoss::uniform(s.loss, s.loss / 2.0));
+            let endpoints = ChaosNetwork::wrap(
+                ChannelNetwork::new(cfg.mesh_size()).endpoints(),
+                &plan,
+                None,
             );
-            let endpoints = net.endpoints();
             let result = run_recovery_group(&cfg, endpoints, inputs.clone());
             for r in 0..s.rounds {
                 let oracle = scalar_oracle(&inputs, r);

@@ -28,7 +28,7 @@ use omnireduce_tensor::gen::{self, OverlapMode};
 use omnireduce_tensor::BlockSpec;
 use omnireduce_transport::channel::ChannelTransport;
 use omnireduce_transport::{
-    ChannelNetwork, Entry, Message, NodeId, Packet, PacketKind, ShardedChannelMesh, Transport,
+    ChannelNetwork, Entry, Message, NodeId, Packet, PacketKind, ShardedMesh, Transport,
     TransportError,
 };
 
@@ -288,7 +288,7 @@ fn assert_goodbye_reaches_survivor<T: Transport>(worker_t: T, agg1: &ChannelTran
 #[test]
 fn sharded_shutdown_reaches_surviving_lanes_and_counts_failures() {
     with_deadline(Duration::from_secs(30), || {
-        let mut mesh = ShardedChannelMesh::new(1, 2);
+        let mut mesh = ShardedMesh::channels(1, 2, false);
         let bond = mesh.worker_bond(0);
         drop(mesh.aggregator_endpoint(0)); // shard 0 is dead
         let agg1 = mesh.aggregator_endpoint(1);

@@ -9,7 +9,7 @@ use omnireduce_core::testing::{run_group, run_recovery_group, with_deadline};
 use omnireduce_tensor::dense::reference_sum;
 use omnireduce_tensor::gen::{self, OverlapMode};
 use omnireduce_tensor::{BlockSpec, Tensor};
-use omnireduce_transport::{LossConfig, LossyNetwork};
+use omnireduce_transport::{ChannelNetwork, ChaosNetwork, FaultPlan, KeyedLoss};
 use proptest::prelude::*;
 
 /// Tolerance for float accumulation-order differences.
@@ -255,8 +255,12 @@ fn check_recovery(cfg: &OmniConfig, inputs: Vec<Tensor>, loss: f64, seed: u64) {
     let cfg = cfg.clone();
     with_deadline(std::time::Duration::from_secs(120), move || {
         let expect = reference_sum(&inputs);
-        let mut net = LossyNetwork::new(cfg.mesh_size(), LossConfig::drops(loss, seed));
-        let endpoints = net.endpoints();
+        let plan = FaultPlan::new(seed).loss(KeyedLoss::uniform(loss, 0.0));
+        let endpoints = ChaosNetwork::wrap(
+            ChannelNetwork::new(cfg.mesh_size()).endpoints(),
+            &plan,
+            None,
+        );
         let result = run_recovery_group(
             &cfg,
             endpoints,
@@ -311,8 +315,12 @@ fn recovery_with_duplication() {
         .with_streams(2);
     let inputs = gen_inputs(3, 512, 16, 0.5, OverlapMode::Random, 43);
     let expect = reference_sum(&inputs);
-    let mut net = LossyNetwork::new(cfg.mesh_size(), LossConfig::uniform(0.05, 0.1, 5));
-    let endpoints = net.endpoints();
+    let plan = FaultPlan::new(5).loss(KeyedLoss::uniform(0.05, 0.1));
+    let endpoints = ChaosNetwork::wrap(
+        ChannelNetwork::new(cfg.mesh_size()).endpoints(),
+        &plan,
+        None,
+    );
     let result = run_recovery_group(
         &cfg,
         endpoints,
@@ -344,8 +352,13 @@ fn recovery_multi_round_under_loss() {
             per_worker[w].push(t);
         }
     }
-    let mut net = LossyNetwork::new(cfg.mesh_size(), LossConfig::drops(0.05, 9));
-    let result = run_recovery_group(&cfg, net.endpoints(), per_worker);
+    let plan = FaultPlan::new(9).loss(KeyedLoss::uniform(0.05, 0.0));
+    let endpoints = ChaosNetwork::wrap(
+        ChannelNetwork::new(cfg.mesh_size()).endpoints(),
+        &plan,
+        None,
+    );
+    let result = run_recovery_group(&cfg, endpoints, per_worker);
     for outs in &result.outputs {
         for (r, out) in outs.iter().enumerate() {
             assert!(out.approx_eq(&expects[r], TOL), "round {r} diverges");
@@ -361,10 +374,15 @@ fn recovery_retransmits_under_loss() {
         .with_streams(2);
     cfg.retransmit_timeout = std::time::Duration::from_millis(5);
     let inputs = gen_inputs(2, 512, 16, 0.3, OverlapMode::Random, 47);
-    let mut net = LossyNetwork::new(cfg.mesh_size(), LossConfig::drops(0.1, 17));
+    let plan = FaultPlan::new(17).loss(KeyedLoss::uniform(0.1, 0.0));
+    let endpoints = ChaosNetwork::wrap(
+        ChannelNetwork::new(cfg.mesh_size()).endpoints(),
+        &plan,
+        None,
+    );
     let result = run_recovery_group(
         &cfg,
-        net.endpoints(),
+        endpoints,
         inputs.into_iter().map(|t| vec![t]).collect(),
     );
     let total_retx: u64 = result.stats.iter().map(|s| s.retransmissions).sum();
@@ -425,13 +443,12 @@ proptest! {
             n, len, BlockSpec::new(8), 0.5, 1.0, OverlapMode::Random, seed,
         );
         let expect = reference_sum(&inputs);
-        let mut net = LossyNetwork::new(
-            cfg.mesh_size(),
-            LossConfig::uniform(drop, dup, seed),
-        );
+        let plan = FaultPlan::new(seed).loss(KeyedLoss::uniform(drop, dup));
+        let endpoints =
+            ChaosNetwork::wrap(ChannelNetwork::new(cfg.mesh_size()).endpoints(), &plan, None);
         let result = run_recovery_group(
             &cfg,
-            net.endpoints(),
+            endpoints,
             inputs.into_iter().map(|t| vec![t]).collect(),
         );
         for outs in &result.outputs {

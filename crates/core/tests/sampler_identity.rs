@@ -50,10 +50,7 @@ fn run_rounds(
 ) -> MultiRoundOutcome {
     assert_eq!(inputs.len(), cfg.num_workers);
     let mut net = ChannelNetwork::new(cfg.mesh_size());
-    let endpoints = match telemetry {
-        Some(t) => ChaosNetwork::wrap_with_telemetry(net.endpoints(), plan, t),
-        None => ChaosNetwork::wrap(net.endpoints(), plan),
-    };
+    let endpoints = ChaosNetwork::wrap(net.endpoints(), plan, telemetry);
     let mut endpoints: Vec<Option<_>> = endpoints.into_iter().map(Some).collect();
 
     let mut agg_handles = Vec::new();

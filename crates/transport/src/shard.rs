@@ -9,10 +9,10 @@
 //!
 //! Two pieces live here:
 //!
-//! * [`ShardedChannelMesh`] / [`ShardedChaosMesh`] build one independent
-//!   full mesh per shard (so per-shard queues, and fault plans keyed by
-//!   shard) and hand out each worker's per-shard lanes plus each shard's
-//!   aggregator endpoint.
+//! * [`ShardedMesh`] builds one independent full mesh per shard (so
+//!   per-shard queues, and fault plans keyed by shard) and hands out
+//!   each worker's per-shard lanes plus each shard's aggregator
+//!   endpoint.
 //! * [`ShardBond`] bonds a worker's per-shard lanes back into one
 //!   [`Transport`]: sends are routed to the lane owning the destination
 //!   aggregator, receives poll the lanes fairly. This lets engines
@@ -139,39 +139,66 @@ impl<T: Transport> Transport for ShardBond<T> {
     }
 }
 
-/// One independent [`ChannelNetwork`] per shard, all sharing the node-id
-/// layout of the unsharded mesh (workers `0..W`, aggregator of shard `s`
-/// at node `W + s`), so engines keep their node ids unchanged.
+/// One independent mesh per shard, all sharing the node-id layout of the
+/// unsharded mesh (workers `0..W`, aggregator of shard `s` at node
+/// `W + s`, and with standbys shard `s`'s hot standby at `W + S + s`), so
+/// engines keep their node ids unchanged.
 ///
-/// In shard `s`'s mesh only the worker endpoints and aggregator `W + s`
-/// are ever taken; the other aggregator ids exist but stay silent.
-pub struct ShardedChannelMesh {
-    nets: Vec<ChannelNetwork>,
+/// In shard `s`'s mesh only the worker endpoints, aggregator `W + s` and
+/// standby `W + S + s` are ever taken; the other ids exist but stay
+/// silent.
+pub struct ShardedMesh<T: Transport> {
+    /// `shards[s][node]` = node's endpoint in shard `s`'s mesh.
+    shards: Vec<Vec<Option<T>>>,
     num_workers: usize,
     standby: bool,
 }
 
-impl ShardedChannelMesh {
-    /// Builds `num_shards` meshes for `num_workers` workers.
-    pub fn new(num_workers: usize, num_shards: usize) -> Self {
-        Self::build(num_workers, num_shards, false)
+impl ShardedMesh<ChannelTransport> {
+    /// `num_shards` plain channel meshes for `num_workers` workers, with
+    /// a hot-standby node per shard when `standby` is set.
+    pub fn channels(num_workers: usize, num_shards: usize, standby: bool) -> Self {
+        Self::build(num_workers, num_shards, standby, |_, n| {
+            ChannelNetwork::new(n).endpoints()
+        })
     }
+}
 
-    /// Like [`ShardedChannelMesh::new`] with a hot-standby node per
-    /// shard (shard `s`'s standby at node `W + num_shards + s`, in
-    /// shard `s`'s mesh).
-    pub fn with_standby(num_workers: usize, num_shards: usize) -> Self {
-        Self::build(num_workers, num_shards, true)
+impl ShardedMesh<ChaosTransport<ChannelTransport>> {
+    /// `plans.len()` channel meshes, shard `s`'s endpoints wrapped in its
+    /// **own** `plans[s]` — faults are keyed by shard, so a chaos
+    /// schedule can drop only shard 1's packets, straggle only shard 2's
+    /// links, or crash a single non-primary aggregator while the other
+    /// shards stay healthy. Every shard's fault counters are mirrored
+    /// into `telemetry` (`transport.fault.*`) when one is given.
+    pub fn chaos(
+        num_workers: usize,
+        plans: &[FaultPlan],
+        standby: bool,
+        telemetry: Option<&Telemetry>,
+    ) -> Self {
+        Self::build(num_workers, plans.len(), standby, |s, n| {
+            ChaosNetwork::wrap(ChannelNetwork::new(n).endpoints(), &plans[s], telemetry)
+        })
     }
+}
 
-    fn build(num_workers: usize, num_shards: usize, standby: bool) -> Self {
+impl<T: Transport> ShardedMesh<T> {
+    /// Builds `num_shards` meshes; `mesh(s, n)` returns the `n` endpoints
+    /// of shard `s`'s fresh mesh in node-id order.
+    fn build(
+        num_workers: usize,
+        num_shards: usize,
+        standby: bool,
+        mesh: impl Fn(usize, usize) -> Vec<T>,
+    ) -> Self {
         assert!(num_shards > 0, "need at least one shard");
         let extra = if standby { 2 * num_shards } else { num_shards };
-        let nets = (0..num_shards)
-            .map(|_| ChannelNetwork::new(num_workers + extra))
+        let shards = (0..num_shards)
+            .map(|s| mesh(s, num_workers + extra).into_iter().map(Some).collect())
             .collect();
-        ShardedChannelMesh {
-            nets,
+        ShardedMesh {
+            shards,
             num_workers,
             standby,
         }
@@ -179,117 +206,11 @@ impl ShardedChannelMesh {
 
     /// Number of shards (aggregators).
     pub fn num_shards(&self) -> usize {
-        self.nets.len()
-    }
-
-    /// Takes worker `w`'s lane into every shard mesh, index = shard.
-    pub fn worker_lanes(&mut self, w: usize) -> Vec<ChannelTransport> {
-        assert!(w < self.num_workers, "node {w} is not a worker");
-        self.nets
-            .iter_mut()
-            .map(|n| n.endpoint(NodeId(w as u16)))
-            .collect()
-    }
-
-    /// Takes worker `w`'s lanes bonded into a single transport.
-    pub fn worker_bond(&mut self, w: usize) -> ShardBond<ChannelTransport> {
-        let first_agg = self.num_workers as u16;
-        ShardBond::new(self.worker_lanes(w), first_agg)
-    }
-
-    /// Takes shard `s`'s aggregator endpoint (node `W + s` in mesh `s`).
-    pub fn aggregator_endpoint(&mut self, s: usize) -> ChannelTransport {
-        let id = NodeId((self.num_workers + s) as u16);
-        self.nets[s].endpoint(id)
-    }
-
-    /// Takes shard `s`'s hot-standby endpoint (node `W + S + s` in mesh
-    /// `s`). Only available on meshes built with
-    /// [`ShardedChannelMesh::with_standby`].
-    pub fn standby_endpoint(&mut self, s: usize) -> ChannelTransport {
-        assert!(self.standby, "mesh built without standby nodes");
-        let id = NodeId((self.num_workers + self.nets.len() + s) as u16);
-        self.nets[s].endpoint(id)
-    }
-}
-
-/// [`ShardedChannelMesh`] with each shard's mesh wrapped by its **own**
-/// [`FaultPlan`] — faults are keyed by shard, so a chaos schedule can
-/// drop only shard 1's packets, straggle only shard 2's links, or crash
-/// a single non-primary aggregator while the other shards stay healthy.
-pub struct ShardedChaosMesh {
-    /// `shards[s][node]` = node's endpoint in shard `s`'s mesh.
-    shards: Vec<Vec<Option<ChaosTransport<ChannelTransport>>>>,
-    num_workers: usize,
-    standby: bool,
-}
-
-impl ShardedChaosMesh {
-    /// Builds `plans.len()` shard meshes, wrapping shard `s`'s endpoints
-    /// with `plans[s]`.
-    pub fn wrap(num_workers: usize, plans: &[FaultPlan]) -> Self {
-        Self::build(num_workers, plans, None, false)
-    }
-
-    /// Like [`ShardedChaosMesh::wrap`], mirroring every shard's fault
-    /// counters into `telemetry` (`transport.fault.*`).
-    pub fn wrap_with_telemetry(
-        num_workers: usize,
-        plans: &[FaultPlan],
-        telemetry: &Telemetry,
-    ) -> Self {
-        Self::build(num_workers, plans, Some(telemetry), false)
-    }
-
-    /// Like [`ShardedChaosMesh::wrap`] with a hot-standby node per shard
-    /// (shard `s`'s standby at node `W + S + s`), optionally mirroring
-    /// fault counters into `telemetry`.
-    pub fn wrap_with_standby(
-        num_workers: usize,
-        plans: &[FaultPlan],
-        telemetry: Option<&Telemetry>,
-    ) -> Self {
-        Self::build(num_workers, plans, telemetry, true)
-    }
-
-    fn build(
-        num_workers: usize,
-        plans: &[FaultPlan],
-        telemetry: Option<&Telemetry>,
-        standby: bool,
-    ) -> Self {
-        assert!(!plans.is_empty(), "need one fault plan per shard");
-        let extra = if standby {
-            2 * plans.len()
-        } else {
-            plans.len()
-        };
-        let n = num_workers + extra;
-        let shards = plans
-            .iter()
-            .map(|plan| {
-                let mut net = ChannelNetwork::new(n);
-                let wrapped = match telemetry {
-                    Some(t) => ChaosNetwork::wrap_with_telemetry(net.endpoints(), plan, t),
-                    None => ChaosNetwork::wrap(net.endpoints(), plan),
-                };
-                wrapped.into_iter().map(Some).collect()
-            })
-            .collect();
-        ShardedChaosMesh {
-            shards,
-            num_workers,
-            standby,
-        }
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
         self.shards.len()
     }
 
     /// Takes worker `w`'s lane into every shard mesh, index = shard.
-    pub fn worker_lanes(&mut self, w: usize) -> Vec<ChaosTransport<ChannelTransport>> {
+    pub fn worker_lanes(&mut self, w: usize) -> Vec<T> {
         assert!(w < self.num_workers, "node {w} is not a worker");
         self.shards
             .iter_mut()
@@ -298,21 +219,21 @@ impl ShardedChaosMesh {
     }
 
     /// Takes worker `w`'s lanes bonded into a single transport.
-    pub fn worker_bond(&mut self, w: usize) -> ShardBond<ChaosTransport<ChannelTransport>> {
+    pub fn worker_bond(&mut self, w: usize) -> ShardBond<T> {
         let first_agg = self.num_workers as u16;
         ShardBond::new(self.worker_lanes(w), first_agg)
     }
 
-    /// Takes shard `s`'s aggregator endpoint.
-    pub fn aggregator_endpoint(&mut self, s: usize) -> ChaosTransport<ChannelTransport> {
+    /// Takes shard `s`'s aggregator endpoint (node `W + s` in mesh `s`).
+    pub fn aggregator_endpoint(&mut self, s: usize) -> T {
         self.shards[s][self.num_workers + s]
             .take()
             .expect("endpoint already taken")
     }
 
-    /// Takes shard `s`'s hot-standby endpoint (meshes built with
-    /// [`ShardedChaosMesh::wrap_with_standby`] only).
-    pub fn standby_endpoint(&mut self, s: usize) -> ChaosTransport<ChannelTransport> {
+    /// Takes shard `s`'s hot-standby endpoint (node `W + S + s` in mesh
+    /// `s`). Only available on meshes built with standbys.
+    pub fn standby_endpoint(&mut self, s: usize) -> T {
         assert!(self.standby, "mesh built without standby nodes");
         let node = self.num_workers + self.shards.len() + s;
         self.shards[s][node].take().expect("endpoint already taken")
@@ -326,7 +247,7 @@ mod tests {
 
     #[test]
     fn bond_routes_sends_by_aggregator_node() {
-        let mut mesh = ShardedChannelMesh::new(2, 3);
+        let mut mesh = ShardedMesh::channels(2, 3, false);
         let bond = mesh.worker_bond(0);
         let aggs: Vec<_> = (0..3).map(|s| mesh.aggregator_endpoint(s)).collect();
         for (s, agg) in aggs.iter().enumerate() {
@@ -340,7 +261,7 @@ mod tests {
 
     #[test]
     fn bond_receives_from_every_lane() {
-        let mut mesh = ShardedChannelMesh::new(1, 4);
+        let mut mesh = ShardedMesh::channels(1, 4, false);
         let bond = mesh.worker_bond(0);
         let aggs: Vec<_> = (0..4).map(|s| mesh.aggregator_endpoint(s)).collect();
         for (s, agg) in aggs.iter().enumerate() {
@@ -359,7 +280,7 @@ mod tests {
 
     #[test]
     fn bond_send_to_unknown_shard_errors() {
-        let mut mesh = ShardedChannelMesh::new(1, 2);
+        let mut mesh = ShardedMesh::channels(1, 2, false);
         let bond = mesh.worker_bond(0);
         let err = bond.send(NodeId(9), &Message::Shutdown).unwrap_err();
         assert!(matches!(err, TransportError::UnknownPeer(NodeId(9))));
@@ -369,7 +290,7 @@ mod tests {
     fn bond_routes_standby_onto_the_primary_lane() {
         // 2 workers, 2 shards with standbys: shard s's standby (node
         // 4 + s) must be reachable over lane s.
-        let mut mesh = ShardedChannelMesh::with_standby(2, 2);
+        let mut mesh = ShardedMesh::channels(2, 2, true);
         let bond = mesh.worker_bond(0);
         for s in 0..2usize {
             let standby = mesh.standby_endpoint(s);
@@ -386,7 +307,7 @@ mod tests {
 
     #[test]
     fn bond_recv_timeout_expires_across_lanes() {
-        let mut mesh = ShardedChannelMesh::new(1, 3);
+        let mut mesh = ShardedMesh::channels(1, 3, false);
         let bond = mesh.worker_bond(0);
         let got = bond.recv_timeout(Duration::from_millis(5)).unwrap();
         assert!(got.is_none());
@@ -394,7 +315,7 @@ mod tests {
 
     #[test]
     fn bond_cross_thread_round_trip_per_shard() {
-        let mut mesh = ShardedChannelMesh::new(1, 2);
+        let mut mesh = ShardedMesh::channels(1, 2, false);
         let bond = mesh.worker_bond(0);
         let mut handles = Vec::new();
         for s in 0..2usize {
@@ -441,7 +362,7 @@ mod tests {
             })
         };
         let plans = vec![FaultPlan::new(7), FaultPlan::new(7).crash_after(2, 0)];
-        let mut mesh = ShardedChaosMesh::wrap(1, &plans);
+        let mut mesh = ShardedMesh::chaos(1, &plans, false, None);
         let bond = mesh.worker_bond(0);
         let agg0 = mesh.aggregator_endpoint(0);
         let agg1 = mesh.aggregator_endpoint(1);

@@ -3,7 +3,7 @@
 //! The closest commodity equivalent of the paper's DPDK/UDP environment:
 //! unreliable, unordered-in-principle (in practice loopback preserves
 //! order), with each protocol message in one datagram. Pair it with the
-//! Algorithm 2 engines ([`crate::lossy`] injects loss for tests; real
+//! Algorithm 2 engines ([`crate::fault`] injects loss for tests; real
 //! networks provide their own).
 //!
 //! Messages must encode below the datagram ceiling

@@ -1,7 +1,8 @@
 //! The contract of [`TcpTransport`], one test per line of it (DESIGN
-//! "Socket transports: the readiness loop"), plus the two bugs the
-//! reader-thread implementation had: leaked threads and sockets, and
-//! hostile bytes reaching an allocation and an `assert!`.
+//! "Socket transports: the readiness loop"), plus one of the two bugs
+//! the reader-thread implementation had: hostile bytes reaching an
+//! allocation and an `assert!`. The other, leaked threads and sockets,
+//! is checked by `tcp_no_leaks.rs`, a binary of its own.
 //!
 //! Everything runs on loopback. Tests that play a misbehaving peer do it
 //! with a raw `TcpStream` posing as the mesh's highest node id, which
@@ -21,13 +22,13 @@ use omnireduce_transport::{
 };
 
 /// Ports no other test in the repository uses (the unit tests take
-/// 21000+, the example 23500+, UDP 26000+ and 28100+), below the range
-/// the kernel hands out to outgoing connections.
+/// 21000+, the example 23500+, the leak test 25000+, UDP 26000+ and
+/// 28100+), below the range the kernel hands out to outgoing
+/// connections.
 static NEXT_PORT: AtomicU16 = AtomicU16::new(24_000);
 
-/// One test at a time: `no_threads_no_fds_left` counts the whole
-/// process's threads and descriptors, and the timing tests want the two
-/// cores to themselves.
+/// One test at a time: the timing tests want the two cores to
+/// themselves.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn serial() -> MutexGuard<'static, ()> {
@@ -142,69 +143,9 @@ fn drain_input(to: &TcpTransport, k: u64) {
 
 const QUIET: Duration = Duration::from_millis(30);
 
-fn proc_status_threads() -> usize {
-    let status = std::fs::read_to_string("/proc/self/status").unwrap();
-    let line = status.lines().find(|l| l.starts_with("Threads:")).unwrap();
-    line["Threads:".len()..].trim().parse().unwrap()
-}
-
-fn open_fds() -> usize {
-    std::fs::read_dir("/proc/self/fd").unwrap().count()
-}
-
-/// Waits (a joined thread can stay visible in `/proc` for a moment) until
-/// `read()` is at most `limit`, and returns the last value read.
-fn settle(read: impl Fn() -> usize, limit: usize) -> usize {
-    let deadline = Instant::now() + Duration::from_secs(2);
-    loop {
-        let now = read();
-        if now <= limit || Instant::now() >= deadline {
-            return now;
-        }
-        thread::sleep(Duration::from_millis(5));
-    }
-}
-
 // ---------------------------------------------------------------------
-// The two bugs
+// Hostile bytes
 // ---------------------------------------------------------------------
-
-/// ROADMAP 2(a). The reader-thread endpoint left 20 threads and 20
-/// sockets behind per 5-node mesh: +200 of each here.
-#[test]
-fn no_threads_no_fds_left() {
-    let _serial = serial();
-    let threads0 = proc_status_threads();
-    let fds0 = open_fds();
-    for rep in 0..10 {
-        let eps = mesh(5);
-        if rep == 0 {
-            // The endpoints are there, the threads that established them
-            // are joined: a live mesh runs on its owners' threads only.
-            let live = settle(proc_status_threads, threads0);
-            assert!(
-                live <= threads0,
-                "a live mesh added {} threads",
-                live - threads0
-            );
-        }
-        // Carry traffic on every link before the drop.
-        for (i, ep) in eps.iter().enumerate() {
-            for j in (0..eps.len()).filter(|j| *j != i) {
-                ep.send(NodeId(j as u16), &start(i as u64)).unwrap();
-            }
-        }
-        for ep in &eps {
-            for _ in 1..eps.len() {
-                ep.recv().unwrap();
-            }
-        }
-    }
-    let threads = settle(proc_status_threads, threads0);
-    let fds = settle(open_fds, fds0);
-    assert!(threads <= threads0, "{} threads leaked", threads - threads0);
-    assert!(fds <= fds0, "{} descriptors leaked", fds - fds0);
-}
 
 /// A prefix above `MAX_FRAME_BYTES` severs that connection as soon as the
 /// four bytes are in — nothing waits, or allocates, for the length they

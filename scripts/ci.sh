@@ -111,12 +111,15 @@ step "differential (workspace engines, per-shard bytes)" \
 # TCP transport (§17 readiness loop): the endpoint's contract, one test
 # per line — FIFO across deferred and written-through sends, back-
 # pressure, graceful close, peer isolation, timeout precision, frame
-# reassembly — plus the thread/descriptor leak and hostile-bytes
-# regressions; then the lossless engines over real sockets against the
-# scalar oracle and the channel mesh's counters. A loop that waits for
+# reassembly — plus the hostile-bytes regression, and the thread/
+# descriptor leak regression in a binary of its own (it counts the
+# whole process's threads); then the lossless engines over real
+# sockets against the scalar oracle and the channel mesh's counters. A loop that waits for
 # the wrong readiness hangs rather than fails, hence the timeout belt.
 step_t 120 "tcp transport contract" \
   cargo test "${CARGO_FLAGS[@]}" -p omnireduce-transport --test tcp_contract -q
+step_t 120 "tcp transport leaks" \
+  cargo test "${CARGO_FLAGS[@]}" -p omnireduce-transport --test tcp_no_leaks -q
 step_t 300 "tcp conformance" \
   cargo test "${CARGO_FLAGS[@]}" -p omnireduce --test tcp_conformance -q
 

@@ -8,7 +8,8 @@
 //! depend on a single crate:
 //!
 //! * [`tensor`] — dense/sparse tensor formats, blocks, bitmaps, statistics.
-//! * [`transport`] — wire format and channel/TCP/lossy transports.
+//! * [`transport`] — wire format, channel/TCP/UDP transports and fault
+//!   injection.
 //! * [`simnet`] — packet-level discrete-event network simulator.
 //! * [`collectives`] — baseline collectives (ring, AGsparse, SparCML, PS,
 //!   streaming dense aggregation) and analytic cost models.

@@ -12,7 +12,7 @@ use omnireduce::tensor::convert::{coo_to_dense, dense_to_coo};
 use omnireduce::tensor::dense::reference_sum;
 use omnireduce::tensor::gen::{self, OverlapMode};
 use omnireduce::tensor::{BlockSpec, CooTensor, Tensor};
-use omnireduce::transport::{ChannelNetwork, LossConfig, LossyNetwork, NodeId};
+use omnireduce::transport::{ChannelNetwork, ChaosNetwork, FaultPlan, KeyedLoss, NodeId};
 
 const N: usize = 4;
 const LEN: usize = 1536;
@@ -124,10 +124,15 @@ fn run_omni_recovery(inputs: &[Tensor]) -> Vec<Tensor> {
         .with_fusion(2)
         .with_streams(4);
     cfg.retransmit_timeout = std::time::Duration::from_millis(5);
-    let mut net = LossyNetwork::new(cfg.mesh_size(), LossConfig::drops(0.05, 3));
+    let plan = FaultPlan::new(3).loss(KeyedLoss::uniform(0.05, 0.0));
+    let endpoints = ChaosNetwork::wrap(
+        ChannelNetwork::new(cfg.mesh_size()).endpoints(),
+        &plan,
+        None,
+    );
     run_recovery_group(
         &cfg,
-        net.endpoints(),
+        endpoints,
         inputs.iter().map(|t| vec![t.clone()]).collect(),
     )
     .outputs

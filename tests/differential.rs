@@ -36,7 +36,7 @@ use omnireduce::core::OmniAggregator;
 use omnireduce::simnet::{Bandwidth, NicConfig, SimTime};
 use omnireduce::tensor::gen::{self, OverlapMode};
 use omnireduce::tensor::{BlockSpec, NonZeroBitmap, Tensor};
-use omnireduce::transport::{ChannelNetwork, LossConfig, LossyNetwork, NodeId};
+use omnireduce::transport::{ChannelNetwork, ChaosNetwork, FaultPlan, KeyedLoss, NodeId};
 
 const WORKERS: usize = 3;
 const ELEMENTS: usize = 1 << 13;
@@ -145,11 +145,15 @@ fn executable_engines_agree_bitwise_with_scalar_oracle() {
         //    replays must fold idempotently (two-phase versioned slots) —
         //    the result is still bit-identical, not merely close.
         let lossy_cfg = config().with_fixed_rto(Duration::from_millis(25));
-        let mut lossy =
-            LossyNetwork::new(lossy_cfg.mesh_size(), LossConfig::uniform(0.12, 0.06, SEED));
+        let plan = FaultPlan::new(SEED).loss(KeyedLoss::uniform(0.12, 0.06));
+        let lossy = ChaosNetwork::wrap(
+            ChannelNetwork::new(lossy_cfg.mesh_size()).endpoints(),
+            &plan,
+            None,
+        );
         let lossy_result = run_recovery_group(
             &lossy_cfg,
-            lossy.endpoints(),
+            lossy,
             ins.iter().map(|t| vec![t.clone()]).collect(),
         );
         for (w, outs) in lossy_result.outputs.iter().enumerate() {

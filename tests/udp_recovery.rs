@@ -2,8 +2,8 @@
 //! datagrams* — the deployment shape closest to the paper's DPDK path.
 //!
 //! Loopback UDP rarely drops on its own, so the matrix wraps the real
-//! sockets in a seeded Bernoulli drop layer (the kernel-socket
-//! equivalent of the in-process `LossyNetwork`) and sweeps drop rates:
+//! sockets in a `FaultPlan`'s keyed loss (the same replay-stable model
+//! the in-process suites wrap channels in) and sweeps drop rates:
 //! the full stack (codec → datagram → retransmission protocol) must
 //! produce output **bit-identical** to the same collective over TCP —
 //! inputs are quantized to multiples of 0.25, so any correct reduction
@@ -14,7 +14,6 @@
 
 use std::net::{IpAddr, Ipv4Addr, SocketAddr};
 use std::sync::atomic::{AtomicU16, Ordering};
-use std::sync::Mutex;
 use std::thread;
 use std::time::Duration;
 
@@ -26,9 +25,7 @@ use omnireduce::tensor::dense::reference_sum;
 use omnireduce::tensor::gen::{self, OverlapMode};
 use omnireduce::tensor::{BlockSpec, Tensor};
 use omnireduce::transport::udp::UdpNetwork;
-use omnireduce::transport::{Message, NodeId, TcpNetwork, Transport, TransportError};
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+use omnireduce::transport::{ChaosNetwork, FaultPlan, KeyedLoss, NodeId, TcpNetwork, Transport};
 
 /// Loopback port allocator: each test grabs a disjoint block.
 static NEXT_PORT: AtomicU16 = AtomicU16::new(28_100);
@@ -38,48 +35,6 @@ fn alloc_addrs(n: usize) -> Vec<SocketAddr> {
     (0..n)
         .map(|i| SocketAddr::new(IpAddr::V4(Ipv4Addr::LOCALHOST), base + i as u16))
         .collect()
-}
-
-/// Seeded Bernoulli drops over any real transport — the kernel-socket
-/// counterpart of `LossyNetwork` (which only wraps the in-process
-/// channel mesh). Like `LossyNetwork`, only data frames (`Block`/`Kv`)
-/// are dropped; control messages (`Start`, `Shutdown`) go through — the
-/// recovery protocol owns data reliability, not session teardown.
-/// Drops apply on TX, per destination, so the aggregator's multicast
-/// loses packets independently per worker.
-struct DropTx<T> {
-    inner: T,
-    loss: f64,
-    rng: Mutex<ChaCha8Rng>,
-}
-
-impl<T: Transport> DropTx<T> {
-    fn new(inner: T, loss: f64, seed: u64) -> Self {
-        DropTx {
-            inner,
-            loss,
-            rng: Mutex::new(ChaCha8Rng::seed_from_u64(seed)),
-        }
-    }
-}
-
-impl<T: Transport> Transport for DropTx<T> {
-    fn local_id(&self) -> NodeId {
-        self.inner.local_id()
-    }
-    fn send(&self, peer: NodeId, msg: &Message) -> Result<(), TransportError> {
-        let droppable = matches!(msg, Message::Block(_) | Message::Kv(_));
-        if droppable && self.loss > 0.0 && self.rng.lock().unwrap().gen_bool(self.loss) {
-            return Ok(()); // dropped on the (virtual) wire
-        }
-        self.inner.send(peer, msg)
-    }
-    fn recv(&self) -> Result<(NodeId, Message), TransportError> {
-        self.inner.recv()
-    }
-    fn recv_timeout(&self, timeout: Duration) -> Result<Option<(NodeId, Message)>, TransportError> {
-        self.inner.recv_timeout(timeout)
-    }
 }
 
 fn config(workers: usize, elements: usize, shards: usize) -> OmniConfig {
@@ -182,11 +137,12 @@ fn udp_vs_tcp(workers: usize, shards: usize, loss: f64, seed: u64) {
     // sending only probabilistically; the protocol absorbs early losses
     // like any other drop.
     let udp_addrs = alloc_addrs(cfg.mesh_size());
+    let plan = FaultPlan::new(seed).loss(KeyedLoss::uniform(loss, 0.0));
     let udp_out = {
         let addrs = udp_addrs;
         run_recovery(&cfg, inputs, move |node| {
             let udp = UdpNetwork::bind(NodeId(node), &addrs).expect("udp bind");
-            DropTx::new(udp, loss, seed ^ u64::from(node))
+            ChaosNetwork::wrap(vec![udp], &plan, None).pop().unwrap()
         })
     };
 

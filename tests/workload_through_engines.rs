@@ -7,7 +7,7 @@
 use omnireduce::core::config::OmniConfig;
 use omnireduce::core::testing::{run_group, run_recovery_group, with_deadline};
 use omnireduce::tensor::dense::reference_sum;
-use omnireduce::transport::{LossConfig, LossyNetwork};
+use omnireduce::transport::{ChannelNetwork, ChaosNetwork, FaultPlan, KeyedLoss};
 use omnireduce::workloads::{Workload, WorkloadName};
 
 #[test]
@@ -32,10 +32,15 @@ fn deeplight_gradients_through_recovery_engines_body() {
         .with_fusion(4)
         .with_streams(8);
     cfg.retransmit_timeout = std::time::Duration::from_millis(5);
-    let mut net = LossyNetwork::new(cfg.mesh_size(), LossConfig::drops(0.02, 23));
+    let plan = FaultPlan::new(23).loss(KeyedLoss::uniform(0.02, 0.0));
+    let endpoints = ChaosNetwork::wrap(
+        ChannelNetwork::new(cfg.mesh_size()).endpoints(),
+        &plan,
+        None,
+    );
     let result = run_recovery_group(
         &cfg,
-        net.endpoints(),
+        endpoints,
         inputs.iter().map(|t| vec![t.clone()]).collect(),
     );
     for (w, outs) in result.outputs.iter().enumerate() {
