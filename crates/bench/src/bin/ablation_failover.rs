@@ -29,7 +29,8 @@ use std::time::{Duration, Instant};
 
 use omnireduce_bench::{env_knobs, Table};
 use omnireduce_core::config::OmniConfig;
-use omnireduce_core::recovery::{RecoveryAggregator, RecoveryStats, RecoveryWorker};
+use omnireduce_core::group::{self, Nodes, Recovery};
+use omnireduce_core::recovery::RecoveryStats;
 use omnireduce_core::testing::with_deadline;
 use omnireduce_telemetry::json::JsonValue;
 use omnireduce_telemetry::{FlightEventKind, LaneRole, Telemetry};
@@ -84,74 +85,30 @@ fn failover_cfg(elements: usize) -> OmniConfig {
 }
 
 /// One AllReduce over a chaos-wrapped channel mesh: workers, per-shard
-/// primaries, per-shard hot standbys. A crashed primary's endpoint is
-/// kept alive until the run drains so it black-holes packets (UDP
-/// semantics) instead of signalling a closed connection.
+/// primaries, per-shard hot standbys. The group driver keeps a crashed
+/// primary's endpoint alive until the workers are done, so it
+/// black-holes packets (UDP semantics) instead of signalling a closed
+/// connection.
 fn run(cfg: &OmniConfig, plan: &FaultPlan, inputs: &[Tensor]) -> Outcome {
     let telemetry = Telemetry::with_observability(0, 1 << 16);
-    let mut net = ChannelNetwork::new(cfg.mesh_size());
-    let endpoints = ChaosNetwork::wrap(net.endpoints(), plan, Some(&telemetry));
-    let mut endpoints: Vec<Option<_>> = endpoints.into_iter().map(Some).collect();
+    let mesh = ChannelNetwork::new(cfg.mesh_size()).endpoints();
+    let endpoints = ChaosNetwork::wrap(mesh, plan, Some(&telemetry));
+    let rounds = inputs.iter().map(|t| vec![t.clone()]).collect();
 
     let start = Instant::now();
-    let mut agg_handles = Vec::new();
-    for a in 0..cfg.num_aggregators {
-        let t = endpoints[cfg.aggregator_node(a) as usize].take().unwrap();
-        let cfg = cfg.clone();
-        let tl = telemetry.clone();
-        agg_handles.push(std::thread::spawn(move || {
-            let mut agg = RecoveryAggregator::with_telemetry(t, cfg, &tl);
-            let res = agg.run();
-            let stats = agg.stats;
-            (res, stats, agg)
-        }));
-    }
-    let mut standby_handles = Vec::new();
-    for a in 0..cfg.num_aggregators {
-        let t = endpoints[cfg.standby_node(a) as usize].take().unwrap();
-        let cfg = cfg.clone();
-        let tl = telemetry.clone();
-        standby_handles.push(std::thread::spawn(move || {
-            let mut agg = RecoveryAggregator::with_telemetry(t, cfg, &tl);
-            let res = agg.run();
-            let stats = agg.stats;
-            (res, stats, agg)
-        }));
-    }
-    let mut worker_handles = Vec::new();
-    for (w, tensor) in inputs.iter().enumerate() {
-        let t = endpoints[cfg.worker_node(w) as usize].take().unwrap();
-        let cfg = cfg.clone();
-        let tl = telemetry.clone();
-        let mut tensor = tensor.clone();
-        worker_handles.push(std::thread::spawn(move || {
-            let mut worker = RecoveryWorker::with_telemetry(t, cfg, &tl);
-            let result = worker.allreduce(&mut tensor);
-            assert!(result.is_ok(), "worker {w} failed: {result:?}");
-            let stats = worker.stats();
-            let _ = worker.shutdown(); // best effort: primary may be gone
-            (tensor, stats)
-        }));
-    }
-
-    let mut outputs = Vec::new();
-    let mut worker_stats = Vec::new();
-    for h in worker_handles {
-        let (t, s) = h.join().expect("worker thread panicked");
-        outputs.push(t);
-        worker_stats.push(s);
-    }
+    let out = group::run::<Recovery>(
+        cfg,
+        Nodes::mesh(cfg, endpoints),
+        rounds,
+        Some(&telemetry),
+        None,
+    );
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let mut checkpoints_sent = 0;
-    let mut checkpoints_applied = 0;
-    for h in agg_handles {
-        let (_res, stats, _agg) = h.join().expect("aggregator thread panicked");
-        checkpoints_sent += stats.checkpoints_sent;
+    for (w, o) in out.workers.iter().enumerate() {
+        assert!(o.result.is_ok(), "worker {w} failed: {:?}", o.result);
     }
-    for h in standby_handles {
-        let (res, stats, _agg) = h.join().expect("standby thread panicked");
+    for (res, _) in &out.standbys {
         assert!(res.is_ok(), "standby failed: {res:?}");
-        checkpoints_applied += stats.checkpoints_applied;
     }
     let downtime_ns = telemetry
         .flight()
@@ -169,10 +126,18 @@ fn run(cfg: &OmniConfig, plan: &FaultPlan, inputs: &[Tensor]) -> Outcome {
         .max()
         .unwrap_or(0);
     Outcome {
-        outputs,
-        worker_stats,
-        checkpoints_sent,
-        checkpoints_applied,
+        checkpoints_sent: out.aggs.iter().map(|(_, s)| s.checkpoints_sent).sum(),
+        checkpoints_applied: out
+            .standbys
+            .iter()
+            .map(|(_, s)| s.checkpoints_applied)
+            .sum(),
+        worker_stats: out.workers.iter().map(|o| o.stats).collect(),
+        outputs: out
+            .workers
+            .into_iter()
+            .map(|mut o| o.outputs.remove(0))
+            .collect(),
         downtime_ns,
         wall_ms,
     }

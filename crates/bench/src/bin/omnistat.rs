@@ -23,6 +23,7 @@
 use std::process::ExitCode;
 
 use omnireduce_core::config::OmniConfig;
+use omnireduce_core::group::Recovery;
 use omnireduce_core::shard::ShardedAllReduce;
 use omnireduce_telemetry::json::JsonValue;
 use omnireduce_telemetry::{
@@ -90,7 +91,7 @@ fn demo_recording() -> FlightRecording {
             std::time::Duration::from_millis(400),
         )
         .with_max_retransmits(40);
-    let inputs: Vec<Tensor> = gen::workers(
+    let inputs: Vec<Vec<Tensor>> = gen::workers(
         n,
         len,
         BlockSpec::new(32),
@@ -98,12 +99,15 @@ fn demo_recording() -> FlightRecording {
         1.0,
         OverlapMode::Random,
         2021,
-    );
+    )
+    .into_iter()
+    .map(|t| vec![t])
+    .collect();
     let plans: Vec<FaultPlan> = (0..shards)
         .map(|s| FaultPlan::new(0x51C0 + s as u64).loss(KeyedLoss::uniform(0.10, 0.02)))
         .collect();
     let telemetry = Telemetry::with_observability(0, 1 << 16);
-    let out = ShardedAllReduce::run_recovery_chaos(&cfg, &plans, &inputs, Some(&telemetry));
+    let out = ShardedAllReduce::run::<Recovery>(&cfg, Some(&plans), inputs, Some(&telemetry));
     for (w, o) in out.workers.iter().enumerate() {
         if let Err(e) = &o.result {
             eprintln!("omnistat --demo: worker {w} failed: {e:?}");

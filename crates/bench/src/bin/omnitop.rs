@@ -29,6 +29,7 @@ use std::io::IsTerminal;
 use std::time::Duration;
 
 use omnireduce_core::config::OmniConfig;
+use omnireduce_core::group::Recovery;
 use omnireduce_core::shard::ShardedAllReduce;
 use omnireduce_core::sim::{bitmaps_from_sets, simulate_allreduce, SimSpec};
 use omnireduce_simnet::{Bandwidth, RackTopology, SimTime};
@@ -211,7 +212,8 @@ fn chaos_tick(
     };
     let base = 0x0111_1000 + tick as u64;
     let plans = [plan(base), plan(base ^ 0x9E37_79B9_7F4A_7C15)];
-    let out = ShardedAllReduce::run_recovery_chaos(cfg, &plans, inputs, Some(telemetry));
+    let rounds = inputs.iter().map(|t| vec![t.clone()]).collect();
+    let out = ShardedAllReduce::run::<Recovery>(cfg, Some(&plans), rounds, Some(telemetry));
     for (w, o) in out.workers.iter().enumerate() {
         if let Err(e) = &o.result {
             eprintln!("omnitop --demo: tick {tick} worker {w} failed: {e:?}");
@@ -469,7 +471,7 @@ fn check_bit_identity() -> Vec<String> {
         .with_fixed_rto(Duration::from_millis(50))
         .with_max_retransmits(60)
         .with_deterministic();
-    let inputs = gen::workers(
+    let inputs: Vec<Vec<Tensor>> = gen::workers(
         1,
         256,
         BlockSpec::new(32),
@@ -477,24 +479,27 @@ fn check_bit_identity() -> Vec<String> {
         1.0,
         OverlapMode::Random,
         0xF00D,
-    );
+    )
+    .into_iter()
+    .map(|t| vec![t])
+    .collect();
     let plans = [
         FaultPlan::new(7).loss(KeyedLoss::uniform(0.25, 0.05)),
         FaultPlan::new(8).loss(KeyedLoss::uniform(0.25, 0.05)),
     ];
 
-    let off = ShardedAllReduce::run_recovery_chaos(&cfg, &plans, &inputs, None);
+    let off = ShardedAllReduce::run::<Recovery>(&cfg, Some(&plans), inputs.clone(), None);
 
     let telemetry = Telemetry::with_pipeline(0, 0, 256);
     let sampler = match Sampler::spawn(&telemetry, Duration::from_micros(200)) {
         Ok(s) => s,
         Err(e) => return vec![format!("bit-identity: sampler spawn failed: {e}")],
     };
-    let on = ShardedAllReduce::run_recovery_chaos(&cfg, &plans, &inputs, Some(&telemetry));
+    let on = ShardedAllReduce::run::<Recovery>(&cfg, Some(&plans), inputs, Some(&telemetry));
     sampler.stop();
 
     let mut fails = Vec::new();
-    let diff = off.workers[0].output.max_abs_diff(&on.workers[0].output);
+    let diff = off.workers[0].outputs[0].max_abs_diff(&on.workers[0].outputs[0]);
     if diff != 0.0 {
         fails.push(format!("bit-identity: sampled tensor differs by {diff}"));
     }

@@ -43,6 +43,7 @@ pub mod aggregator;
 pub mod collective;
 pub mod config;
 pub mod error;
+pub mod group;
 pub mod hierarchical;
 mod instrument;
 pub mod kv;

@@ -257,8 +257,8 @@ impl<T: Transport> RecoveryWorker<T> {
 
     /// Wire bytes sent to each aggregator shard (index = shard). Sums
     /// to [`RecoveryStats::bytes_sent`].
-    pub fn shard_bytes(&self) -> &[u64] {
-        &self.shard_bytes
+    pub fn shard_bytes(&self) -> Vec<u64> {
+        self.shard_bytes.clone()
     }
 
     fn now_ns(&self) -> u64 {

@@ -14,17 +14,19 @@
 //! [`ShardMap`] makes the mapping first-class and testable.
 //!
 //! * Sharding adds no worker engine: a sharded worker is the ordinary
-//!   [`OmniWorker`] (or [`RecoveryWorker`]) over a
+//!   [`crate::OmniWorker`] (or [`crate::RecoveryWorker`]) over a
 //!   [`omnireduce_transport::ShardBond`] — **one transport lane per
 //!   shard** behind one `Transport`, polled fairly. The engines keep
 //!   their traffic counters per shard, which feeds the wire-byte
 //!   differential suite; a round finishes when every stream has, and a
 //!   shard owning no blocks (possible for short tensors) owns no stream,
 //!   so it is never waited on.
-//! * [`ShardedAllReduce`] deploys the whole group — N aggregator
-//!   engines and M workers on real OS threads — for the lossless and
-//!   the Algorithm 2 recovery engines, with optional per-shard fault
-//!   plans ([`omnireduce_transport::ShardedMesh::chaos`]).
+//! * [`ShardedAllReduce::run`] builds the per-shard meshes — plain
+//!   channels, or each shard wrapped in its own fault plan
+//!   ([`omnireduce_transport::ShardedMesh::chaos`]) — and deploys the
+//!   group on them through the one driver, [`crate::group::run`], for
+//!   either engine ([`crate::group::Lossless`] or
+//!   [`crate::group::Recovery`]).
 //!
 //! **Determinism.** Every block is owned by exactly one shard, and
 //! workers write result blocks into disjoint tensor ranges, so
@@ -35,19 +37,14 @@
 //! the single-aggregator reference. The conformance suite asserts this
 //! across seeded interleavings (DESIGN §10).
 
-use std::thread;
-
 use omnireduce_tensor::{BlockIdx, Tensor};
-use omnireduce_transport::{FaultPlan, ShardBond, ShardedMesh, Transport, TransportError};
+use omnireduce_transport::{FaultPlan, ShardBond, ShardedMesh, Transport};
 
 use omnireduce_telemetry::Telemetry;
 
-use crate::aggregator::{AggregatorStats, OmniAggregator};
 use crate::config::OmniConfig;
-use crate::error::ProtocolError;
+use crate::group::{self, ready, Engine, GroupOutcome, Nodes};
 use crate::layout::StreamLayout;
-use crate::recovery::{RecoveryAggregator, RecoveryAggregatorStats, RecoveryStats, RecoveryWorker};
-use crate::worker::{OmniWorker, WorkerStats};
 
 /// The block → shard assignment induced by the stream geometry.
 #[derive(Debug, Clone, Copy)]
@@ -123,423 +120,72 @@ impl ShardMap {
     }
 }
 
-/// Result of a sharded lossless deployment.
-pub struct ShardedRunResult {
-    /// `outputs[w][r]` = worker `w`'s tensor after round `r`.
-    pub outputs: Vec<Vec<Tensor>>,
-    /// Per-worker aggregate traffic counters.
-    pub stats: Vec<WorkerStats>,
-    /// `shard_bytes[w][s]` = wire bytes worker `w` sent to shard `s`.
-    pub shard_bytes: Vec<Vec<u64>>,
-    /// Per-shard aggregator counters (index = shard).
-    pub agg_stats: Vec<AggregatorStats>,
-}
-
-/// Result of a sharded recovery deployment on a healthy mesh.
-pub struct ShardedRecoveryResult {
-    /// `outputs[w][r]` = worker `w`'s tensor after round `r`.
-    pub outputs: Vec<Vec<Tensor>>,
-    /// Per-worker recovery counters.
-    pub stats: Vec<RecoveryStats>,
-    /// `shard_bytes[w][s]` = wire bytes worker `w` sent to shard `s`.
-    pub shard_bytes: Vec<Vec<u64>>,
-    /// Per-shard recovery-aggregator counters.
-    pub agg_stats: Vec<RecoveryAggregatorStats>,
-}
-
-/// One worker's outcome under a sharded chaos deployment.
-pub struct ShardedChaosWorker {
-    /// `Ok` when every round completed; typed protocol error otherwise.
-    pub result: Result<(), ProtocolError>,
-    /// Recovery counters up to completion or failure.
-    pub stats: RecoveryStats,
-    /// Wire bytes sent per shard.
-    pub shard_bytes: Vec<u64>,
-    /// The tensor after the last attempted round.
-    pub output: Tensor,
-    /// Outcome of the wind-down goodbye fan-out (best effort on a
-    /// faulted fabric, but never silently discarded).
-    pub shutdown: Result<(), TransportError>,
-}
-
-/// Outcome of a sharded recovery deployment under per-shard fault plans.
-pub struct ShardedChaosOutcome {
-    /// Per-worker outcomes (no panics — failures are data).
-    pub workers: Vec<ShardedChaosWorker>,
-    /// Per-shard aggregator results and counters.
-    pub aggs: Vec<(Result<(), ProtocolError>, RecoveryAggregatorStats)>,
-    /// Per-shard hot-standby results and counters (empty unless
-    /// [`OmniConfig::hot_standby`]).
-    pub standbys: Vec<(Result<(), ProtocolError>, RecoveryAggregatorStats)>,
-}
-
-/// Deploys sharded groups: N aggregator engines + M workers, each on
-/// its own OS thread, over per-shard channel meshes.
+/// Deploys sharded groups: N aggregator engines (plus hot standbys when
+/// the config asks for them) and M workers, each on its own OS thread,
+/// over per-shard meshes.
 pub struct ShardedAllReduce;
 
 impl ShardedAllReduce {
-    /// Runs `inputs[w]` rounds of the **lossless** engine over
-    /// `cfg.num_aggregators` shards.
+    /// Runs `inputs[w]` rounds of engine `E` over `cfg.num_aggregators`
+    /// shards through [`group::run`]. With `plans`, shard `s`'s mesh is
+    /// wrapped in `plans[s]` ([`ShardedMesh::chaos`]) — per-shard drops,
+    /// a straggling shard, a crashed non-primary aggregator; otherwise
+    /// the meshes are plain channels. Every engine (and the chaos
+    /// counters) attach to `telemetry` when one is given.
     ///
-    /// # Panics
-    /// Panics when shapes don't match the config or any thread fails.
-    pub fn run(cfg: &OmniConfig, inputs: Vec<Vec<Tensor>>) -> ShardedRunResult {
-        let mut mesh = ShardedMesh::channels(cfg.num_workers, cfg.num_aggregators, false);
-        let bonds = (0..cfg.num_workers).map(|w| mesh.worker_bond(w)).collect();
-        let aggs = (0..cfg.num_aggregators)
-            .map(|s| mesh.aggregator_endpoint(s))
-            .collect();
-        Self::run_lossless_over(cfg, inputs, bonds, aggs, None)
-    }
-
-    /// Like [`ShardedAllReduce::run`], but attaches every engine to
-    /// `telemetry`, so runs record flight events (and registry counters)
-    /// for offline attribution.
-    pub fn run_traced(
+    /// Failures are data; call [`GroupOutcome::expect_ok`] when the run
+    /// must succeed. The lossless engine has no retransmission, so plans
+    /// that drop its data packets wedge it: give it only
+    /// reliability-preserving plans (stragglers, delays).
+    pub fn run<E: Engine>(
         cfg: &OmniConfig,
+        plans: Option<&[FaultPlan]>,
         inputs: Vec<Vec<Tensor>>,
-        telemetry: &Telemetry,
-    ) -> ShardedRunResult {
-        let mut mesh = ShardedMesh::channels(cfg.num_workers, cfg.num_aggregators, false);
-        let bonds = (0..cfg.num_workers).map(|w| mesh.worker_bond(w)).collect();
-        let aggs = (0..cfg.num_aggregators)
-            .map(|s| mesh.aggregator_endpoint(s))
-            .collect();
-        Self::run_lossless_over(cfg, inputs, bonds, aggs, Some(telemetry))
-    }
-
-    /// Like [`ShardedAllReduce::run`], but wraps shard `s`'s mesh in
-    /// `plans[s]`. Intended for *reliability-preserving* plans
-    /// (stragglers, delays): the lossless engine has no retransmission,
-    /// so plans that drop data packets will wedge it.
-    pub fn run_with_plans(
-        cfg: &OmniConfig,
-        plans: &[FaultPlan],
-        inputs: Vec<Vec<Tensor>>,
-    ) -> ShardedRunResult {
-        assert_eq!(plans.len(), cfg.num_aggregators, "one plan per shard");
-        let mut mesh = ShardedMesh::chaos(cfg.num_workers, plans, false, None);
-        let bonds = (0..cfg.num_workers).map(|w| mesh.worker_bond(w)).collect();
-        let aggs = (0..cfg.num_aggregators)
-            .map(|s| mesh.aggregator_endpoint(s))
-            .collect();
-        Self::run_lossless_over(cfg, inputs, bonds, aggs, None)
-    }
-
-    fn run_lossless_over<T: Transport + 'static>(
-        cfg: &OmniConfig,
-        inputs: Vec<Vec<Tensor>>,
-        worker_bonds: Vec<ShardBond<T>>,
-        agg_endpoints: Vec<T>,
         telemetry: Option<&Telemetry>,
-    ) -> ShardedRunResult {
-        assert_eq!(inputs.len(), cfg.num_workers, "one input set per worker");
-        let rounds = inputs[0].len();
-        for i in &inputs {
-            assert_eq!(i.len(), rounds, "same round count per worker");
-        }
-
-        let mut agg_handles = Vec::new();
-        for (s, t) in agg_endpoints.into_iter().enumerate() {
-            let cfg = cfg.clone();
-            let telemetry = telemetry.cloned();
-            agg_handles.push(
-                thread::Builder::new()
-                    .name(format!("shard{s}-aggregator"))
-                    .spawn(move || {
-                        let mut agg = match &telemetry {
-                            Some(tl) => OmniAggregator::with_telemetry(t, cfg, tl),
-                            None => OmniAggregator::new(t, cfg),
-                        };
-                        agg.run().expect("aggregator failed");
-                        agg.stats
-                    })
-                    .expect("failed to spawn aggregator thread"),
-            );
-        }
-
-        let mut worker_handles = Vec::new();
-        for (w, (bond, tensors)) in worker_bonds.into_iter().zip(inputs).enumerate() {
-            let cfg = cfg.clone();
-            let telemetry = telemetry.cloned();
-            worker_handles.push(
-                thread::Builder::new()
-                    .name(format!("sharded-worker{w}"))
-                    .spawn(move || {
-                        let mut worker = match &telemetry {
-                            Some(tl) => OmniWorker::with_telemetry(bond, cfg, tl),
-                            None => OmniWorker::new(bond, cfg),
-                        };
-                        let mut outs = Vec::with_capacity(tensors.len());
-                        let mut failure = None;
-                        for mut tensor in tensors {
-                            match worker.allreduce(&mut tensor) {
-                                Ok(()) => outs.push(tensor),
-                                Err(e) => {
-                                    failure = Some(e);
-                                    break;
-                                }
-                            }
-                        }
-                        let stats = worker.stats();
-                        let shard_bytes = worker.shard_bytes();
-                        // Goodbyes go out even after a failed round: an
-                        // aborting worker must not keep the *surviving*
-                        // shards (or, through the tenant service,
-                        // another tenant's lanes) waiting forever for a
-                        // wind-down that would never come.
-                        let shutdown = worker.shutdown();
-                        if let Some(e) = failure {
-                            panic!("allreduce failed: {e:?}");
-                        }
-                        shutdown.expect("shutdown failed");
-                        (outs, stats, shard_bytes)
-                    })
-                    .expect("failed to spawn worker thread"),
-            );
-        }
-
-        let mut outputs = Vec::new();
-        let mut stats = Vec::new();
-        let mut shard_bytes = Vec::new();
-        for h in worker_handles {
-            let (o, s, b) = h.join().expect("worker thread panicked");
-            outputs.push(o);
-            stats.push(s);
-            shard_bytes.push(b);
-        }
-        let agg_stats = agg_handles
-            .into_iter()
-            .map(|h| h.join().expect("aggregator thread panicked"))
-            .collect();
-        ShardedRunResult {
-            outputs,
-            stats,
-            shard_bytes,
-            agg_stats,
-        }
-    }
-
-    /// Runs the **Algorithm 2 recovery** engine sharded: every worker
-    /// holds per-shard endpoints bonded by
-    /// [`omnireduce_transport::ShardBond`], every shard runs its own
-    /// [`RecoveryAggregator`] thread.
-    ///
-    /// # Panics
-    /// Panics when any worker fails — use
-    /// [`ShardedAllReduce::run_recovery_chaos`] when failure is the
-    /// point.
-    pub fn run_recovery(cfg: &OmniConfig, inputs: Vec<Vec<Tensor>>) -> ShardedRecoveryResult {
-        assert_eq!(inputs.len(), cfg.num_workers, "one input set per worker");
-        let mut mesh = ShardedMesh::channels(cfg.num_workers, cfg.num_aggregators, false);
-
-        let mut agg_handles = Vec::new();
-        for s in 0..cfg.num_aggregators {
-            let t = mesh.aggregator_endpoint(s);
-            let cfg = cfg.clone();
-            agg_handles.push(
-                thread::Builder::new()
-                    .name(format!("shard{s}-aggregator"))
-                    .spawn(move || {
-                        let mut agg = RecoveryAggregator::new(t, cfg);
-                        agg.run().expect("aggregator failed");
-                        agg.stats
-                    })
-                    .expect("failed to spawn aggregator thread"),
-            );
-        }
-
-        let mut worker_handles = Vec::new();
-        for (w, tensors) in inputs.into_iter().enumerate() {
-            let bond = mesh.worker_bond(w);
-            let cfg = cfg.clone();
-            worker_handles.push(
-                thread::Builder::new()
-                    .name(format!("sharded-worker{w}"))
-                    .spawn(move || {
-                        let mut worker = RecoveryWorker::new(bond, cfg);
-                        let mut outs = Vec::with_capacity(tensors.len());
-                        let mut failure = None;
-                        for mut tensor in tensors {
-                            match worker.allreduce(&mut tensor) {
-                                Ok(()) => outs.push(tensor),
-                                Err(e) => {
-                                    failure = Some(e);
-                                    break;
-                                }
-                            }
-                        }
-                        let stats = worker.stats();
-                        let shard_bytes = worker.shard_bytes().to_vec();
-                        // Same wind-down discipline as the lossless
-                        // harness: goodbyes before the panic.
-                        let shutdown = worker.shutdown();
-                        if let Some(e) = failure {
-                            panic!("allreduce failed: {e:?}");
-                        }
-                        shutdown.expect("shutdown failed");
-                        (outs, stats, shard_bytes)
-                    })
-                    .expect("failed to spawn worker thread"),
-            );
-        }
-
-        let mut outputs = Vec::new();
-        let mut stats = Vec::new();
-        let mut shard_bytes = Vec::new();
-        for h in worker_handles {
-            let (o, s, b) = h.join().expect("worker thread panicked");
-            outputs.push(o);
-            stats.push(s);
-            shard_bytes.push(b);
-        }
-        let agg_stats = agg_handles
-            .into_iter()
-            .map(|h| h.join().expect("aggregator thread panicked"))
-            .collect();
-        ShardedRecoveryResult {
-            outputs,
-            stats,
-            shard_bytes,
-            agg_stats,
-        }
-    }
-
-    /// Runs one round of the recovery engine with shard `s`'s mesh
-    /// wrapped in `plans[s]`, collecting per-thread outcomes instead of
-    /// panicking: per-shard drops, a straggling shard, or a crashed
-    /// non-primary aggregator all surface as data.
-    ///
-    /// A crashed shard's endpoint is kept alive until every worker has
-    /// been joined, so the dead aggregator looks like a black hole (UDP
-    /// semantics), not a closed connection.
-    pub fn run_recovery_chaos(
-        cfg: &OmniConfig,
-        plans: &[FaultPlan],
-        inputs: &[Tensor],
-        telemetry: Option<&Telemetry>,
-    ) -> ShardedChaosOutcome {
-        assert_eq!(plans.len(), cfg.num_aggregators, "one plan per shard");
-        assert_eq!(inputs.len(), cfg.num_workers, "one input per worker");
-        let mut mesh = ShardedMesh::chaos(cfg.num_workers, plans, cfg.hot_standby, telemetry);
-
-        let mut agg_handles = Vec::new();
-        for s in 0..cfg.num_aggregators {
-            let t = mesh.aggregator_endpoint(s);
-            let cfg = cfg.clone();
-            let telemetry = telemetry.cloned();
-            agg_handles.push(
-                thread::Builder::new()
-                    .name(format!("shard{s}-aggregator"))
-                    .spawn(move || {
-                        let mut agg = match &telemetry {
-                            Some(tl) => RecoveryAggregator::with_telemetry(t, cfg, tl),
-                            None => RecoveryAggregator::new(t, cfg),
-                        };
-                        let res = agg.run();
-                        let stats = agg.stats;
-                        // Keep `agg` (and its endpoint) alive inside the
-                        // handle so a crashed shard black-holes instead
-                        // of closing the channel under the workers.
-                        (res, stats, agg)
-                    })
-                    .expect("failed to spawn aggregator thread"),
-            );
-        }
-
-        // Hot standbys: same engine, standby node ids (`W + A + s`). The
-        // constructor detects the role from the node id; the engine
-        // stays passive until workers fail over to it.
-        let mut standby_handles = Vec::new();
-        if cfg.hot_standby {
-            for s in 0..cfg.num_aggregators {
-                let t = mesh.standby_endpoint(s);
-                let cfg = cfg.clone();
-                let telemetry = telemetry.cloned();
-                standby_handles.push(
-                    thread::Builder::new()
-                        .name(format!("shard{s}-standby"))
-                        .spawn(move || {
-                            let mut agg = match &telemetry {
-                                Some(tl) => RecoveryAggregator::with_telemetry(t, cfg, tl),
-                                None => RecoveryAggregator::new(t, cfg),
-                            };
-                            let res = agg.run();
-                            let stats = agg.stats;
-                            (res, stats, agg)
-                        })
-                        .expect("failed to spawn standby thread"),
-                );
+    ) -> GroupOutcome<E> {
+        let (workers, shards, standby) = (cfg.num_workers, cfg.num_aggregators, cfg.hot_standby);
+        match plans {
+            None => {
+                let mesh = ShardedMesh::channels(workers, shards, standby);
+                group::run::<E>(cfg, nodes(cfg, mesh), inputs, telemetry, None)
+            }
+            Some(plans) => {
+                assert_eq!(plans.len(), shards, "one plan per shard");
+                let mesh = ShardedMesh::chaos(workers, plans, standby, telemetry);
+                group::run::<E>(cfg, nodes(cfg, mesh), inputs, telemetry, None)
             }
         }
+    }
+}
 
-        let mut worker_handles = Vec::new();
-        for (w, tensor) in inputs.iter().enumerate() {
-            let bond = mesh.worker_bond(w);
-            let cfg = cfg.clone();
-            let telemetry = telemetry.cloned();
-            let mut tensor = tensor.clone();
-            worker_handles.push(
-                thread::Builder::new()
-                    .name(format!("sharded-worker{w}"))
-                    .spawn(move || {
-                        let mut worker = match &telemetry {
-                            Some(tl) => RecoveryWorker::with_telemetry(bond, cfg, tl),
-                            None => RecoveryWorker::new(bond, cfg),
-                        };
-                        let result = worker.allreduce(&mut tensor);
-                        let stats = worker.stats();
-                        let shard_bytes = worker.shard_bytes().to_vec();
-                        // Say goodbye even after a failure (best effort:
-                        // parts of the fabric may be gone). A worker that
-                        // gave up on one shard must still let *surviving*
-                        // shards wind down — a shard whose round already
-                        // completed is not waiting on anyone, so it would
-                        // otherwise idle forever for this goodbye.
-                        let shutdown = worker.shutdown();
-                        ShardedChaosWorker {
-                            result,
-                            stats,
-                            shard_bytes,
-                            output: tensor,
-                            shutdown,
-                        }
-                    })
-                    .expect("failed to spawn worker thread"),
-            );
-        }
-
-        let workers: Vec<ShardedChaosWorker> = worker_handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"))
-            .collect();
-        let aggs = agg_handles
-            .into_iter()
-            .map(|h| {
-                let (res, stats, agg) = h.join().expect("aggregator thread panicked");
-                drop(agg);
-                (res, stats)
-            })
-            .collect();
-        let standbys = standby_handles
-            .into_iter()
-            .map(|h| {
-                let (res, stats, agg) = h.join().expect("standby thread panicked");
-                drop(agg);
-                (res, stats)
-            })
-            .collect();
-        ShardedChaosOutcome {
-            workers,
-            aggs,
-            standbys,
-        }
+/// Every node of a sharded mesh: bonded worker lanes, then each shard's
+/// aggregator and standby endpoints.
+fn nodes<'a, T: Transport + 'a>(
+    cfg: &OmniConfig,
+    mut mesh: ShardedMesh<T>,
+) -> Nodes<'a, ShardBond<T>, T> {
+    let standbys = if cfg.hot_standby {
+        cfg.num_aggregators
+    } else {
+        0
+    };
+    Nodes {
+        workers: (0..cfg.num_workers)
+            .map(|w| ready(mesh.worker_bond(w)))
+            .collect(),
+        aggregators: (0..cfg.num_aggregators)
+            .map(|s| ready(mesh.aggregator_endpoint(s)))
+            .collect(),
+        standbys: (0..standbys)
+            .map(|s| ready(mesh.standby_endpoint(s)))
+            .collect(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::group::Lossless;
 
     fn cfg(workers: usize, elements: usize, shards: usize) -> OmniConfig {
         OmniConfig::new(workers, elements)
@@ -589,7 +235,7 @@ mod tests {
         let inputs: Vec<Vec<Tensor>> = (0..3)
             .map(|w| vec![Tensor::from_vec(vec![w as f32 + 1.0; 256])])
             .collect();
-        let res = ShardedAllReduce::run(&c, inputs);
+        let res = ShardedAllReduce::run::<Lossless>(&c, None, inputs, None).expect_ok();
         for outs in &res.outputs {
             for v in outs[0].as_slice() {
                 assert_eq!(*v, 6.0);

@@ -17,10 +17,11 @@
 //!   admitted only while the live-tenant cap
 //!   (`OMNIREDUCE_MAX_TENANTS`), the slot pool, and the node-id space
 //!   all have room. Admission assigns the stream id, carves per-worker
-//!   ingress node ids, registers demux routes, and spawns one protocol
-//!   engine per shard — [`OmniAggregator`] or [`RecoveryAggregator`]
-//!   per [`TenantSpec::engine`], each running over a virtual port with
-//!   the tenant's own geometry.
+//!   ingress node ids, registers demux routes, and builds one virtual
+//!   engine port per shard with the tenant's own geometry; the engines
+//!   behind them — [`crate::OmniAggregator`] or
+//!   [`crate::RecoveryAggregator`] per [`TenantSpec::engine`] — start
+//!   when the job runs.
 //! * [`SlotScheduler`] / [`WfqState`] — the shared slot pool (the
 //!   paper's bounded switch slot table, DESIGN §1) under weighted fair
 //!   queueing. A tenant acquires its round's slot need before starting
@@ -31,14 +32,16 @@
 //!   overuse into *virtual-time debt* — future grants are delayed
 //!   (backpressure), payloads are never touched (no corruption).
 //! * [`TenantHandle`] — one admitted job. `run_lossless` /
-//!   `run_recovery` drive the tenant's workers over virtual lanes,
-//!   round-locked with the scheduler, and join the per-shard engines on
-//!   completion. Per-tenant chaos ([`TenantSpec::plan`]) wraps the
-//!   tenant's *virtual* endpoints, whose node ids match a solo
-//!   deployment of the same geometry — so a tenant's keyed fates are
-//!   identical whether it runs alone or next to a thousand neighbours
-//!   (the isolation invariant the `tenant_interleave` battery checks
-//!   bit-for-bit).
+//!   `run_recovery` are one generic body: the group driver
+//!   ([`crate::group::run`]) deploys the tenant's workers over virtual
+//!   lanes and its per-shard engines over the virtual ports, in
+//!   lockstep with the scheduler — acquire, start barrier, end barrier,
+//!   release with the round's byte count. Per-tenant chaos
+//!   ([`TenantSpec::plan`]) wraps the tenant's *virtual* endpoints,
+//!   whose node ids match a solo deployment of the same geometry — so a
+//!   tenant's keyed fates are identical whether it runs alone or next
+//!   to a thousand neighbours (the isolation invariant the
+//!   `tenant_interleave` battery checks bit-for-bit).
 //!
 //! Isolation model: tenants never share protocol state. The shared
 //! surfaces are (a) the per-shard ingress queue + demux thread, which
@@ -49,10 +52,11 @@
 //! `core.tenant.*` counters for admission, demux and scheduling events.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, Condvar, Mutex};
+use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use omnireduce_telemetry::{Counter, Telemetry, TelemetrySnapshot};
@@ -60,12 +64,12 @@ use omnireduce_tensor::Tensor;
 use omnireduce_transport::fault::{ChaosNetwork, FaultPlan};
 use omnireduce_transport::{Message, NodeId, ShardBond, Transport, TransportError};
 
-use crate::aggregator::{AggregatorStats, OmniAggregator};
 use crate::config::OmniConfig;
-use crate::error::ProtocolError;
-use crate::recovery::{RecoveryAggregator, RecoveryAggregatorStats, RecoveryStats, RecoveryWorker};
+use crate::group::{
+    self, ready, Engine, GroupOutcome, GroupResult, Lossless, MakeEndpoint, Nodes, Recovery,
+    RoundHook,
+};
 use crate::shard::ShardMap;
-use crate::worker::{OmniWorker, WorkerStats};
 
 /// Fixed-point scale of the virtual clock (per-slot cost is
 /// `SCALE / weight`, so weights up to `SCALE` stay meaningful).
@@ -432,9 +436,9 @@ impl SlotScheduler {
 /// Which protocol engine serves a tenant's shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TenantEngine {
-    /// Algorithm 1 over reliable lanes ([`OmniAggregator`]).
+    /// Algorithm 1 over reliable lanes ([`crate::OmniAggregator`]).
     Lossless,
-    /// Algorithm 2 with retransmission ([`RecoveryAggregator`]).
+    /// Algorithm 2 with retransmission ([`crate::RecoveryAggregator`]).
     Recovery,
 }
 
@@ -737,39 +741,6 @@ impl JobRegistry {
     }
 }
 
-/// What one per-shard engine thread returned.
-pub enum EngineOutcome {
-    /// Lossless engine result + counters.
-    Lossless(Result<(), TransportError>, AggregatorStats),
-    /// Recovery engine result + counters.
-    Recovery(Result<(), ProtocolError>, RecoveryAggregatorStats),
-}
-
-fn spawn_engine<T: Transport + 'static>(
-    engine: TenantEngine,
-    transport: T,
-    cfg: OmniConfig,
-    telemetry: Telemetry,
-    stream: u16,
-    shard: usize,
-) -> JoinHandle<EngineOutcome> {
-    thread::Builder::new()
-        .name(format!("tenant{stream}-shard{shard}"))
-        .spawn(move || match engine {
-            TenantEngine::Lossless => {
-                let mut agg = OmniAggregator::with_telemetry(transport, cfg, &telemetry);
-                let res = agg.run();
-                EngineOutcome::Lossless(res, agg.stats)
-            }
-            TenantEngine::Recovery => {
-                let mut agg = RecoveryAggregator::with_telemetry(transport, cfg, &telemetry);
-                let res = agg.run();
-                EngineOutcome::Recovery(res, agg.stats)
-            }
-        })
-        .expect("failed to spawn tenant engine thread")
-}
-
 // ---------------------------------------------------------------------
 // The service
 // ---------------------------------------------------------------------
@@ -913,8 +884,8 @@ impl TenantService {
     }
 
     /// Admits a job: checks the caps, assigns its stream id and ingress
-    /// nodes, registers demux routes and the scheduler entry, and
-    /// spawns one engine per shard. The returned handle runs the job.
+    /// nodes, registers demux routes and the scheduler entry, and builds
+    /// one engine port per shard. The returned handle runs the job.
     pub fn admit(&mut self, spec: TenantSpec) -> Result<TenantHandle, AdmissionError> {
         let check = || -> Result<(), AdmissionError> {
             if spec.cfg.num_aggregators != self.shards {
@@ -963,15 +934,10 @@ impl TenantService {
         let weight = self.registry.resolve_weight(spec.weight);
         let cfg = spec.cfg.clone().with_stream_id(stream);
 
-        // Per-tenant telemetry namespace: engines and workers of this
-        // job all record here; the service's registry never mixes in.
-        let tenant_telemetry = Telemetry::new();
-
         // Build the virtual fabric: per-worker inboxes per shard, one
         // engine port per shard, ingress-node routes for the demux.
         let mut lanes: Vec<Vec<TenantLane>> = (0..workers).map(|_| Vec::new()).collect();
-        let mut engines = Vec::with_capacity(self.shards);
-        let mut inbox_keepalive = Vec::with_capacity(workers * self.shards);
+        let mut ports = Vec::with_capacity(self.shards);
         {
             let mut routes = self.shared.routes.lock().expect("route table poisoned");
             for w in 0..workers {
@@ -985,12 +951,6 @@ impl TenantService {
                 let mut out = Vec::with_capacity(workers);
                 for (w, worker_lanes) in lanes.iter_mut().enumerate() {
                     let (inbox_tx, inbox_rx) = unbounded::<(NodeId, Message)>();
-                    // Keepalive: if an engine dies mid-stream (chaos
-                    // crash), dropping its port must not disconnect the
-                    // workers' lanes — they should see silence and burn
-                    // their retry budget, exactly like the sharded
-                    // chaos harness's black-hole semantics.
-                    inbox_keepalive.push(inbox_tx.clone());
                     out.push(inbox_tx);
                     worker_lanes.push(TenantLane {
                         virt_local: NodeId(w as u16),
@@ -1000,33 +960,10 @@ impl TenantService {
                         rx: inbox_rx,
                     });
                 }
-                let port = JobPort {
+                ports.push(JobPort {
                     virt_local: NodeId(cfg.aggregator_node(s)),
                     rx: engine_rx,
                     out,
-                };
-                engines.push(match &spec.plan {
-                    Some(plan) => {
-                        let wrapped = ChaosNetwork::wrap(vec![port], plan, Some(&tenant_telemetry))
-                            .pop()
-                            .expect("wrap returns one endpoint per input");
-                        spawn_engine(
-                            spec.engine,
-                            wrapped,
-                            cfg.clone(),
-                            tenant_telemetry.clone(),
-                            stream,
-                            s,
-                        )
-                    }
-                    None => spawn_engine(
-                        spec.engine,
-                        port,
-                        cfg.clone(),
-                        tenant_telemetry.clone(),
-                        stream,
-                        s,
-                    ),
                 });
             }
         }
@@ -1043,10 +980,9 @@ impl TenantService {
             plan: spec.plan,
             slots_per_round: slots_per_round.max(1),
             lanes,
-            engines,
-            inbox_keepalive,
+            ports,
             shared: self.shared.clone(),
-            telemetry: tenant_telemetry,
+            telemetry: Telemetry::new(),
         })
     }
 
@@ -1076,12 +1012,11 @@ pub struct TenantHandle {
     slots_per_round: u64,
     /// `lanes[w][s]` = worker `w`'s virtual lane to shard `s`.
     lanes: Vec<Vec<TenantLane>>,
-    engines: Vec<JoinHandle<EngineOutcome>>,
-    /// Clones of every worker-inbox sender: keeps a crashed engine's
-    /// lanes *silent* (black-hole) rather than *disconnected* until the
-    /// run winds down — dropped in [`finish`](Self::finish).
-    inbox_keepalive: Vec<Sender<(NodeId, Message)>>,
+    /// `ports[s]` = the engine port of shard `s`.
+    ports: Vec<JobPort>,
     shared: Arc<ServiceShared>,
+    /// Per-tenant telemetry namespace: engines and workers of this job
+    /// all record here; the service's registry never mixes in.
     telemetry: Telemetry,
 }
 
@@ -1095,14 +1030,11 @@ impl std::fmt::Debug for TenantHandle {
     }
 }
 
-/// Outcome of a lossless tenant run.
-pub struct TenantRunResult {
-    /// `outputs[w][r]` = worker `w`'s tensor after round `r`.
-    pub outputs: Vec<Vec<Tensor>>,
-    /// Per-worker traffic counters.
-    pub stats: Vec<WorkerStats>,
-    /// Per-shard aggregator counters.
-    pub agg_stats: Vec<AggregatorStats>,
+/// A tenant's group run (a [`GroupResult`] or a [`GroupOutcome`], which
+/// it derefs to) with what the tenant's lockstep and wind-down add.
+pub struct TenantRun<R> {
+    /// The group run.
+    pub run: R,
     /// Wall time of each round, grant to completion.
     pub round_nanos: Vec<u64>,
     /// The tenant's private telemetry, snapshotted at wind-down.
@@ -1111,32 +1043,38 @@ pub struct TenantRunResult {
     pub stream: u16,
 }
 
-/// One worker's outcome under a recovery tenant run (failures are
-/// data — a chaos-planned tenant may abort mid-stream).
-pub struct TenantChaosWorker {
-    /// `Ok` when every round completed.
-    pub result: Result<(), ProtocolError>,
-    /// Recovery counters up to completion or failure.
-    pub stats: RecoveryStats,
-    /// Tensors for completed rounds (shorter than the round count when
-    /// the worker aborted).
-    pub outputs: Vec<Tensor>,
-    /// Outcome of the wind-down goodbye fan-out.
-    pub shutdown: Result<(), TransportError>,
+impl<R> Deref for TenantRun<R> {
+    type Target = R;
+    fn deref(&self) -> &R {
+        &self.run
+    }
 }
 
-/// Outcome of a recovery tenant run.
-pub struct TenantRecoveryOutcome {
-    /// Per-worker outcomes.
-    pub workers: Vec<TenantChaosWorker>,
-    /// Per-shard engine results and counters.
-    pub aggs: Vec<(Result<(), ProtocolError>, RecoveryAggregatorStats)>,
-    /// Wall time of each round, grant to completion.
-    pub round_nanos: Vec<u64>,
-    /// The tenant's private telemetry, snapshotted at wind-down.
-    pub telemetry: TelemetrySnapshot,
-    /// The stream id admission assigned.
-    pub stream: u16,
+impl<R> DerefMut for TenantRun<R> {
+    fn deref_mut(&mut self) -> &mut R {
+        &mut self.run
+    }
+}
+
+/// Paces a tenant's lockstep rounds through the shared slot scheduler:
+/// a round starts once its slots are granted, and returns them metered
+/// by the bytes it sent.
+struct SchedulerPace<'a> {
+    scheduler: &'a SlotScheduler,
+    stream: u16,
+    slots: u64,
+    round_nanos: Vec<u64>,
+}
+
+impl RoundHook for SchedulerPace<'_> {
+    fn begin(&mut self) {
+        self.scheduler.acquire(self.stream, self.slots);
+    }
+
+    fn end(&mut self, bytes: u64, nanos: u64) {
+        self.scheduler.release(self.stream, self.slots, bytes);
+        self.round_nanos.push(nanos);
+    }
 }
 
 impl TenantHandle {
@@ -1166,136 +1104,15 @@ impl TenantHandle {
     ///
     /// # Panics
     /// Panics when the spec's engine is not [`TenantEngine::Lossless`],
-    /// shapes don't match, or a worker hits a transport error (goodbyes
-    /// still go out first — co-tenants never hang on our abort).
-    pub fn run_lossless(mut self, inputs: Vec<Vec<Tensor>>) -> TenantRunResult {
+    /// shapes don't match, or a worker or engine fails — after the
+    /// tenant has wound down, so co-tenants never hang on our abort.
+    pub fn run_lossless(self, inputs: Vec<Vec<Tensor>>) -> TenantRun<GroupResult<Lossless>> {
         assert_eq!(
             self.engine,
             TenantEngine::Lossless,
             "tenant was admitted with the recovery engine"
         );
-        let lanes = std::mem::take(&mut self.lanes);
-        match self.plan.clone() {
-            Some(plan) => {
-                let telemetry = self.telemetry.clone();
-                let wrapped = lanes
-                    .into_iter()
-                    .map(|ls| ChaosNetwork::wrap(ls, &plan, Some(&telemetry)))
-                    .collect();
-                self.run_lossless_over(wrapped, inputs)
-            }
-            None => self.run_lossless_over(lanes, inputs),
-        }
-    }
-
-    fn run_lossless_over<T: Transport + 'static>(
-        self,
-        lanes: Vec<Vec<T>>,
-        inputs: Vec<Vec<Tensor>>,
-    ) -> TenantRunResult {
-        let workers = self.cfg.num_workers;
-        assert_eq!(inputs.len(), workers, "one input set per worker");
-        let rounds = inputs[0].len();
-        for i in &inputs {
-            assert_eq!(i.len(), rounds, "same round count per worker");
-        }
-
-        let start = Barrier::new(workers + 1);
-        let end = Barrier::new(workers + 1);
-        let round_bytes = AtomicU64::new(0);
-        let mut round_nanos = Vec::with_capacity(rounds);
-
-        let per_worker: Vec<(Vec<Tensor>, WorkerStats)> = thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for (w, (ls, tensors)) in lanes.into_iter().zip(inputs).enumerate() {
-                let cfg = self.cfg.clone();
-                let telemetry = &self.telemetry;
-                let (start, end, round_bytes) = (&start, &end, &round_bytes);
-                handles.push(
-                    thread::Builder::new()
-                        .name(format!("tenant{}-worker{w}", self.stream))
-                        .spawn_scoped(scope, move || {
-                            let bond = ShardBond::new(ls, cfg.num_workers as u16);
-                            let mut worker = OmniWorker::with_telemetry(bond, cfg, telemetry);
-                            let mut outs = Vec::with_capacity(tensors.len());
-                            let mut prev_bytes = 0u64;
-                            let mut failure = None;
-                            for mut tensor in tensors {
-                                start.wait();
-                                if failure.is_none() {
-                                    match worker.allreduce(&mut tensor) {
-                                        Ok(()) => {
-                                            let b = worker.stats().bytes_sent;
-                                            round_bytes
-                                                .fetch_add(b - prev_bytes, Ordering::Relaxed);
-                                            prev_bytes = b;
-                                            outs.push(tensor);
-                                        }
-                                        Err(e) => failure = Some(e),
-                                    }
-                                }
-                                end.wait();
-                            }
-                            let stats = worker.stats();
-                            // Goodbyes before any panic: an aborting
-                            // tenant must still wind down its own
-                            // engines so nothing else waits on it.
-                            let shutdown = worker.shutdown();
-                            if let Some(e) = failure {
-                                panic!("tenant worker {w}: allreduce failed: {e:?}");
-                            }
-                            shutdown.expect("tenant worker shutdown failed");
-                            (outs, stats)
-                        })
-                        .expect("failed to spawn tenant worker thread"),
-                );
-            }
-
-            for _ in 0..rounds {
-                self.shared
-                    .scheduler
-                    .acquire(self.stream, self.slots_per_round);
-                let t0 = Instant::now();
-                start.wait();
-                end.wait();
-                round_nanos.push(t0.elapsed().as_nanos() as u64);
-                let bytes = round_bytes.swap(0, Ordering::Relaxed);
-                self.shared
-                    .scheduler
-                    .release(self.stream, self.slots_per_round, bytes);
-            }
-
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("tenant worker panicked"))
-                .collect()
-        });
-
-        let mut outputs = Vec::with_capacity(workers);
-        let mut stats = Vec::with_capacity(workers);
-        for (o, s) in per_worker {
-            outputs.push(o);
-            stats.push(s);
-        }
-        let (engine_outcomes, telemetry, stream) = self.finish();
-        let agg_stats = engine_outcomes
-            .into_iter()
-            .map(|o| match o {
-                EngineOutcome::Lossless(res, stats) => {
-                    res.expect("tenant aggregator failed");
-                    stats
-                }
-                EngineOutcome::Recovery(..) => unreachable!("lossless tenant"),
-            })
-            .collect();
-        TenantRunResult {
-            outputs,
-            stats,
-            agg_stats,
-            round_nanos,
-            telemetry,
-            stream,
-        }
+        self.run(inputs, GroupOutcome::<Lossless>::expect_ok)
     }
 
     /// Runs `inputs[w]` rounds of the **Algorithm 2 recovery** engine
@@ -1303,143 +1120,82 @@ impl TenantHandle {
     /// data (a chaos-planned tenant may abort mid-stream); goodbyes
     /// always go out, so an aborting tenant never wedges its engines —
     /// or anyone else's.
-    pub fn run_recovery(mut self, inputs: Vec<Vec<Tensor>>) -> TenantRecoveryOutcome {
+    pub fn run_recovery(self, inputs: Vec<Vec<Tensor>>) -> TenantRun<GroupOutcome<Recovery>> {
         assert_eq!(
             self.engine,
             TenantEngine::Recovery,
             "tenant was admitted with the lossless engine"
         );
-        let lanes = std::mem::take(&mut self.lanes);
-        match self.plan.clone() {
-            Some(plan) => {
-                let telemetry = self.telemetry.clone();
-                let wrapped = lanes
-                    .into_iter()
-                    .map(|ls| ChaosNetwork::wrap(ls, &plan, Some(&telemetry)))
-                    .collect();
-                self.run_recovery_over(wrapped, inputs)
-            }
-            None => self.run_recovery_over(lanes, inputs),
-        }
+        self.run(inputs, |outcome: GroupOutcome<Recovery>| outcome)
     }
 
-    fn run_recovery_over<T: Transport + 'static>(
-        self,
-        lanes: Vec<Vec<T>>,
+    /// Deploys the tenant's workers and per-shard engines over its
+    /// virtual lanes and ports (both wrapped in the tenant's chaos plan,
+    /// if any) in lockstep with the slot scheduler, winds down, and only
+    /// then hands the outcome to `view`.
+    fn run<E: Engine, R>(
+        mut self,
         inputs: Vec<Vec<Tensor>>,
-    ) -> TenantRecoveryOutcome {
-        let workers = self.cfg.num_workers;
-        assert_eq!(inputs.len(), workers, "one input set per worker");
-        let rounds = inputs[0].len();
-        for i in &inputs {
-            assert_eq!(i.len(), rounds, "same round count per worker");
-        }
-
-        let start = Barrier::new(workers + 1);
-        let end = Barrier::new(workers + 1);
-        let round_bytes = AtomicU64::new(0);
-        let mut round_nanos = Vec::with_capacity(rounds);
-        let first_agg = self.cfg.aggregator_node(0);
-
-        let per_worker: Vec<TenantChaosWorker> = thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for (w, (ls, tensors)) in lanes.into_iter().zip(inputs).enumerate() {
-                let cfg = self.cfg.clone();
-                let telemetry = &self.telemetry;
-                let (start, end, round_bytes) = (&start, &end, &round_bytes);
-                handles.push(
-                    thread::Builder::new()
-                        .name(format!("tenant{}-worker{w}", self.stream))
-                        .spawn_scoped(scope, move || {
-                            let bond = ShardBond::new(ls, first_agg);
-                            let mut worker = RecoveryWorker::with_telemetry(bond, cfg, telemetry);
-                            let mut outs = Vec::with_capacity(tensors.len());
-                            let mut prev_bytes = 0u64;
-                            let mut result = Ok(());
-                            for mut tensor in tensors {
-                                start.wait();
-                                if result.is_ok() {
-                                    match worker.allreduce(&mut tensor) {
-                                        Ok(()) => {
-                                            let b = worker.stats().bytes_sent;
-                                            round_bytes
-                                                .fetch_add(b - prev_bytes, Ordering::Relaxed);
-                                            prev_bytes = b;
-                                            outs.push(tensor);
-                                        }
-                                        Err(e) => result = Err(e),
-                                    }
-                                }
-                                // Keep the round lockstep alive even
-                                // after a failure: the coordinator and
-                                // healthy peers still cross every
-                                // barrier.
-                                end.wait();
-                            }
-                            let stats = worker.stats();
-                            let shutdown = worker.shutdown();
-                            TenantChaosWorker {
-                                result,
-                                stats,
-                                outputs: outs,
-                                shutdown,
-                            }
-                        })
-                        .expect("failed to spawn tenant worker thread"),
-                );
+        view: impl FnOnce(GroupOutcome<E>) -> R,
+    ) -> TenantRun<R> {
+        let lanes = std::mem::take(&mut self.lanes);
+        let ports = std::mem::take(&mut self.ports);
+        let (outcome, round_nanos) = match &self.plan {
+            Some(plan) => {
+                let tl = Some(&self.telemetry);
+                let lanes = lanes
+                    .into_iter()
+                    .map(|ls| ChaosNetwork::wrap(ls, plan, tl))
+                    .collect();
+                let ports = ChaosNetwork::wrap(ports, plan, tl);
+                self.deploy::<E>(lanes, ports, inputs)
             }
-
-            for _ in 0..rounds {
-                self.shared
-                    .scheduler
-                    .acquire(self.stream, self.slots_per_round);
-                let t0 = Instant::now();
-                start.wait();
-                end.wait();
-                round_nanos.push(t0.elapsed().as_nanos() as u64);
-                let bytes = round_bytes.swap(0, Ordering::Relaxed);
-                self.shared
-                    .scheduler
-                    .release(self.stream, self.slots_per_round, bytes);
-            }
-
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("tenant worker panicked"))
-                .collect()
-        });
-
-        let (engine_outcomes, telemetry, stream) = self.finish();
-        let aggs = engine_outcomes
-            .into_iter()
-            .map(|o| match o {
-                EngineOutcome::Recovery(res, stats) => (res, stats),
-                EngineOutcome::Lossless(..) => unreachable!("recovery tenant"),
-            })
-            .collect();
-        TenantRecoveryOutcome {
-            workers: per_worker,
-            aggs,
+            None => self.deploy::<E>(lanes, ports, inputs),
+        };
+        self.finish();
+        TenantRun {
+            run: view(outcome),
             round_nanos,
-            telemetry,
-            stream,
+            telemetry: self.telemetry.snapshot(),
+            stream: self.stream,
         }
     }
 
-    /// Common wind-down: join the per-shard engines, tear out this
-    /// tenant's routes and scheduler entry, decrement the live count.
-    /// Only *this* tenant's state is touched — co-tenant routes, lanes
-    /// and engines are invisible from here by construction.
-    fn finish(self) -> (Vec<EngineOutcome>, TelemetrySnapshot, u16) {
-        let outcomes: Vec<EngineOutcome> = self
-            .engines
-            .into_iter()
-            .map(|h| h.join().expect("tenant engine panicked"))
-            .collect();
-        // Only now may the worker inboxes disconnect: a crashed engine
-        // must read as *silence* (retry-budget exhaustion) while workers
-        // are still running, never as a hard disconnect.
-        drop(self.inbox_keepalive);
+    fn deploy<E: Engine>(
+        &self,
+        lanes: Vec<Vec<impl Transport>>,
+        ports: Vec<impl Transport>,
+        inputs: Vec<Vec<Tensor>>,
+    ) -> (GroupOutcome<E>, Vec<u64>) {
+        let first_agg = self.cfg.aggregator_node(0);
+        let nodes = Nodes {
+            workers: (lanes.into_iter())
+                .map(|ls| Box::new(move || ShardBond::new(ls, first_agg)) as MakeEndpoint<'_, _>)
+                .collect(),
+            aggregators: ports.into_iter().map(ready).collect(),
+            standbys: Vec::new(),
+        };
+        let mut pace = SchedulerPace {
+            scheduler: &self.shared.scheduler,
+            stream: self.stream,
+            slots: self.slots_per_round,
+            round_nanos: Vec::new(),
+        };
+        let run = group::run::<E>(
+            &self.cfg,
+            nodes,
+            inputs,
+            Some(&self.telemetry),
+            Some(&mut pace),
+        );
+        (run, pace.round_nanos)
+    }
+
+    /// Common wind-down: tear out this tenant's routes and scheduler
+    /// entry, decrement the live count. Only *this* tenant's state is
+    /// touched — co-tenant routes, lanes and engines are invisible from
+    /// here by construction.
+    fn finish(&self) {
         {
             let mut routes = self.shared.routes.lock().expect("route table poisoned");
             for shard_routes in routes.by_stream.iter_mut() {
@@ -1452,7 +1208,6 @@ impl TenantHandle {
         self.shared.scheduler.deregister(self.stream);
         self.shared.live.fetch_sub(1, Ordering::SeqCst);
         self.shared.completed.inc();
-        (outcomes, self.telemetry.snapshot(), self.stream)
     }
 }
 

@@ -1,10 +1,11 @@
-//! Test and example support: spin up a full OmniReduce group in-process.
+//! Test and example support: a full OmniReduce group in-process, the
+//! conformance scenario matrix and its scalar oracle.
 //!
-//! Spawns one thread per worker and per aggregator shard over an
-//! in-process channel mesh (or any transport the caller provides),
-//! runs one or more AllReduce rounds, and returns every worker's
-//! resulting tensor plus traffic statistics. Used by unit, property and
-//! integration tests, and by the quickstart example.
+//! [`run_group`] and [`run_recovery_group`] deploy a group through the
+//! one driver, [`crate::group::run`], over an in-process channel mesh
+//! (or any flat mesh the caller provides), and return every worker's
+//! tensors plus traffic statistics, panicking on any failure. Used by
+//! unit, property and integration tests and by the bench binaries.
 
 use std::sync::mpsc;
 use std::thread;
@@ -12,12 +13,10 @@ use std::time::Duration;
 
 use omnireduce_tensor::gen::{self, OverlapMode};
 use omnireduce_tensor::{BlockSpec, Tensor};
-use omnireduce_transport::{ChannelNetwork, NodeId, Transport};
+use omnireduce_transport::{ChannelNetwork, Transport};
 
-use crate::aggregator::OmniAggregator;
 use crate::config::OmniConfig;
-use crate::recovery::{RecoveryAggregator, RecoveryWorker};
-use crate::worker::{OmniWorker, WorkerStats};
+use crate::group::{self, GroupResult, Lossless, Nodes, Recovery};
 
 /// Deadlock watchdog for tests: runs `f` on a helper thread and panics
 /// if it has not finished within `deadline` — a stalled collective
@@ -74,147 +73,30 @@ where
     }
 }
 
-/// Result of [`run_group`]: per-worker output tensors (one per round) and
-/// traffic stats.
-pub struct GroupResult {
-    /// `outputs[w][r]` = worker `w`'s tensor after round `r`.
-    pub outputs: Vec<Vec<Tensor>>,
-    /// Per-worker traffic counters.
-    pub stats: Vec<WorkerStats>,
-    /// `shard_bytes[w][s]` = wire bytes worker `w` sent to aggregator
-    /// shard `s`; row-sums equal `stats[w].bytes_sent`.
-    pub shard_bytes: Vec<Vec<u64>>,
-}
-
-/// Runs `rounds` AllReduce rounds over the lossless engine, one thread
-/// per node, with `inputs[w][r]` as worker `w`'s input for round `r`.
+/// Runs `rounds` AllReduce rounds over the lossless engine on an
+/// in-process channel mesh, with `inputs[w][r]` as worker `w`'s input
+/// for round `r`.
 ///
 /// # Panics
-/// Panics when shapes don't match the config or a thread fails.
-pub fn run_group(cfg: &OmniConfig, inputs: Vec<Vec<Tensor>>) -> GroupResult {
-    assert_eq!(inputs.len(), cfg.num_workers, "one input set per worker");
-    let rounds = inputs[0].len();
-    for i in &inputs {
-        assert_eq!(i.len(), rounds, "same round count per worker");
-    }
-    let mut net = ChannelNetwork::new(cfg.mesh_size());
-
-    let mut agg_handles = Vec::new();
-    for a in 0..cfg.num_aggregators {
-        let t = net.endpoint(NodeId(cfg.aggregator_node(a)));
-        let cfg = cfg.clone();
-        agg_handles.push(thread::spawn(move || {
-            let mut agg = OmniAggregator::new(t, cfg);
-            agg.run().expect("aggregator failed");
-        }));
-    }
-
-    let mut worker_handles = Vec::new();
-    for (w, tensors) in inputs.into_iter().enumerate() {
-        let t = net.endpoint(NodeId(cfg.worker_node(w)));
-        let cfg = cfg.clone();
-        worker_handles.push(thread::spawn(move || {
-            let mut worker = OmniWorker::new(t, cfg);
-            let mut outs = Vec::with_capacity(tensors.len());
-            for mut tensor in tensors {
-                worker.allreduce(&mut tensor).expect("allreduce failed");
-                outs.push(tensor);
-            }
-            let stats = worker.stats();
-            let shard_bytes = worker.shard_bytes();
-            worker.shutdown().expect("shutdown failed");
-            (outs, stats, shard_bytes)
-        }));
-    }
-
-    let mut outputs = Vec::new();
-    let mut stats = Vec::new();
-    let mut shard_bytes = Vec::new();
-    for h in worker_handles {
-        let (o, s, b) = h.join().expect("worker thread panicked");
-        outputs.push(o);
-        stats.push(s);
-        shard_bytes.push(b);
-    }
-    for h in agg_handles {
-        h.join().expect("aggregator thread panicked");
-    }
-    GroupResult {
-        outputs,
-        stats,
-        shard_bytes,
-    }
-}
-
-/// Result of [`run_recovery_group`].
-pub struct RecoveryGroupResult {
-    /// `outputs[w][r]` = worker `w`'s tensor after round `r`.
-    pub outputs: Vec<Vec<Tensor>>,
-    /// Per-worker traffic counters, including retransmissions.
-    pub stats: Vec<crate::recovery::RecoveryStats>,
-    /// `shard_bytes[w][s]` = wire bytes worker `w` sent to aggregator
-    /// shard `s`; row-sums equal `stats[w].bytes_sent`.
-    pub shard_bytes: Vec<Vec<u64>>,
+/// Panics when shapes don't match the config or any node fails.
+pub fn run_group(cfg: &OmniConfig, inputs: Vec<Vec<Tensor>>) -> GroupResult<Lossless> {
+    let endpoints = ChannelNetwork::new(cfg.mesh_size()).endpoints();
+    group::run::<Lossless>(cfg, Nodes::mesh(cfg, endpoints), inputs, None, None).expect_ok()
 }
 
 /// Like [`run_group`] but over the Algorithm 2 loss-recovery engine and a
 /// caller-supplied transport mesh (typically channel endpoints wrapped by
 /// [`omnireduce_transport::ChaosNetwork`]). `endpoints` must be indexed by
 /// node id (workers first, shards after).
-pub fn run_recovery_group<T: Transport + 'static>(
+///
+/// # Panics
+/// Panics when shapes don't match the config or any node fails.
+pub fn run_recovery_group<T: Transport>(
     cfg: &OmniConfig,
     endpoints: Vec<T>,
     inputs: Vec<Vec<Tensor>>,
-) -> RecoveryGroupResult {
-    assert_eq!(endpoints.len(), cfg.mesh_size());
-    assert_eq!(inputs.len(), cfg.num_workers);
-    let mut endpoints: Vec<Option<T>> = endpoints.into_iter().map(Some).collect();
-
-    let mut agg_handles = Vec::new();
-    for a in 0..cfg.num_aggregators {
-        let t = endpoints[cfg.aggregator_node(a) as usize].take().unwrap();
-        let cfg = cfg.clone();
-        agg_handles.push(thread::spawn(move || {
-            let mut agg = RecoveryAggregator::new(t, cfg);
-            agg.run().expect("aggregator failed");
-        }));
-    }
-
-    let mut worker_handles = Vec::new();
-    for (w, tensors) in inputs.into_iter().enumerate() {
-        let t = endpoints[cfg.worker_node(w) as usize].take().unwrap();
-        let cfg = cfg.clone();
-        worker_handles.push(thread::spawn(move || {
-            let mut worker = RecoveryWorker::new(t, cfg);
-            let mut outs = Vec::with_capacity(tensors.len());
-            for mut tensor in tensors {
-                worker.allreduce(&mut tensor).expect("allreduce failed");
-                outs.push(tensor);
-            }
-            let stats = worker.stats();
-            let shard_bytes = worker.shard_bytes().to_vec();
-            worker.shutdown().expect("shutdown failed");
-            (outs, stats, shard_bytes)
-        }));
-    }
-
-    let mut outputs = Vec::new();
-    let mut stats = Vec::new();
-    let mut shard_bytes = Vec::new();
-    for h in worker_handles {
-        let (o, s, b) = h.join().expect("worker thread panicked");
-        outputs.push(o);
-        stats.push(s);
-        shard_bytes.push(b);
-    }
-    for h in agg_handles {
-        h.join().expect("aggregator thread panicked");
-    }
-    RecoveryGroupResult {
-        outputs,
-        stats,
-        shard_bytes,
-    }
+) -> GroupResult<Recovery> {
+    group::run::<Recovery>(cfg, Nodes::mesh(cfg, endpoints), inputs, None, None).expect_ok()
 }
 
 /// One point of the cross-engine conformance matrix (DESIGN §9): a

@@ -19,6 +19,7 @@
 use std::time::Duration;
 
 use omnireduce_core::config::OmniConfig;
+use omnireduce_core::group::{Lossless, Recovery};
 use omnireduce_core::shard::ShardedAllReduce;
 use omnireduce_core::testing::{
     assert_bits_eq, config_of, gen_inputs, run_group, run_recovery_group, scalar_oracle, scenarios,
@@ -145,7 +146,8 @@ fn sharded_lossless_engine_matches_scalar_oracle_across_matrix() {
             let inputs = gen_inputs(&s);
             for shards in SHARD_COLUMN {
                 let cfg = sharded_config_of(&s, shards);
-                let result = ShardedAllReduce::run(&cfg, inputs.clone());
+                let result =
+                    ShardedAllReduce::run::<Lossless>(&cfg, None, inputs.clone(), None).expect_ok();
                 for r in 0..s.rounds {
                     let oracle = scalar_oracle(&inputs, r);
                     for (w, outs) in result.outputs.iter().enumerate() {
@@ -180,7 +182,8 @@ fn sharded_recovery_engine_matches_scalar_oracle_on_clean_mesh() {
                 // Large fixed RTO: any timer fire on the clean per-shard
                 // meshes is a protocol bug in the bonded transport path.
                 let cfg = sharded_config_of(&s, shards).with_fixed_rto(Duration::from_secs(30));
-                let result = ShardedAllReduce::run_recovery(&cfg, inputs.clone());
+                let result =
+                    ShardedAllReduce::run::<Recovery>(&cfg, None, inputs.clone(), None).expect_ok();
                 for r in 0..s.rounds {
                     let oracle = scalar_oracle(&inputs, r);
                     for (w, outs) in result.outputs.iter().enumerate() {
@@ -212,7 +215,6 @@ fn sharded_recovery_engine_matches_scalar_oracle_under_per_shard_loss() {
                 continue;
             }
             let inputs = gen_inputs(&s);
-            let flat: Vec<Tensor> = inputs.iter().map(|w| w[0].clone()).collect();
             for shards in SHARD_COLUMN {
                 let cfg = sharded_config_of(&s, shards).with_fixed_rto(Duration::from_millis(25));
                 // Fault plans keyed by shard: each shard's mesh drops and
@@ -223,14 +225,15 @@ fn sharded_recovery_engine_matches_scalar_oracle_under_per_shard_loss() {
                             .loss(KeyedLoss::uniform(s.loss, s.loss / 2.0))
                     })
                     .collect();
-                let outcome = ShardedAllReduce::run_recovery_chaos(&cfg, &plans, &flat, None);
+                let outcome =
+                    ShardedAllReduce::run::<Recovery>(&cfg, Some(&plans), inputs.clone(), None);
                 let oracle = scalar_oracle(&inputs, 0);
                 for (w, wo) in outcome.workers.iter().enumerate() {
                     wo.result
                         .as_ref()
                         .unwrap_or_else(|e| panic!("{s:?}×{shards} w{w} failed: {e}"));
                     assert_bits_eq(
-                        &wo.output,
+                        &wo.outputs[0],
                         &oracle,
                         &format!("{s:?} sharded×{shards} lossy recovery w{w}"),
                     );
@@ -274,7 +277,13 @@ fn sharded_deterministic_output_is_bit_identical_to_single_aggregator_reference(
         .collect();
 
         // Single-aggregator reference (the paper's baseline deployment).
-        let reference = ShardedAllReduce::run(&sharded_config_of(&scenario, 1), inputs.clone());
+        let reference = ShardedAllReduce::run::<Lossless>(
+            &sharded_config_of(&scenario, 1),
+            None,
+            inputs.clone(),
+            None,
+        )
+        .expect_ok();
 
         for shards in [2usize, 4] {
             let cfg = sharded_config_of(&scenario, shards);
@@ -296,7 +305,9 @@ fn sharded_deterministic_output_is_bit_identical_to_single_aggregator_reference(
                         plan
                     })
                     .collect();
-                let run = ShardedAllReduce::run_with_plans(&cfg, &plans, inputs.clone());
+                let run =
+                    ShardedAllReduce::run::<Lossless>(&cfg, Some(&plans), inputs.clone(), None)
+                        .expect_ok();
                 for (w, outs) in run.outputs.iter().enumerate() {
                     assert_bits_eq(
                         &outs[0],

@@ -17,14 +17,11 @@
 //! reintroduces an infinite-retransmit hang fails fast instead of
 //! wedging CI.
 
-use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use omnireduce_core::config::{DegradedMode, OmniConfig};
 use omnireduce_core::error::ProtocolError;
-use omnireduce_core::recovery::{
-    RecoveryAggregator, RecoveryAggregatorStats, RecoveryStats, RecoveryWorker,
-};
+use omnireduce_core::group::{self, GroupOutcome, Nodes, Recovery};
 use omnireduce_core::testing::with_deadline;
 use omnireduce_telemetry::Telemetry;
 use omnireduce_tensor::gen::{self, OverlapMode};
@@ -49,20 +46,6 @@ const REPLAYED_COUNTERS: &[&str] = &[
     "transport.fault.keyed_dups",
 ];
 
-struct WorkerOutcome {
-    result: Result<(), ProtocolError>,
-    stats: RecoveryStats,
-    output: Tensor,
-    elapsed: Duration,
-}
-
-struct ChaosOutcome {
-    workers: Vec<WorkerOutcome>,
-    aggs: Vec<(Result<(), ProtocolError>, RecoveryAggregatorStats)>,
-    /// Per-shard hot-standby outcomes (empty unless `cfg.hot_standby`).
-    standbys: Vec<(Result<(), ProtocolError>, RecoveryAggregatorStats)>,
-}
-
 /// Runs one AllReduce round over a channel mesh wrapped in `plan`,
 /// collecting per-thread results instead of panicking on failure.
 fn run_chaos(
@@ -70,105 +53,11 @@ fn run_chaos(
     plan: &FaultPlan,
     inputs: &[Tensor],
     telemetry: Option<&Telemetry>,
-) -> ChaosOutcome {
-    assert_eq!(inputs.len(), cfg.num_workers);
-    let mut net = ChannelNetwork::new(cfg.mesh_size());
-    let endpoints = ChaosNetwork::wrap(net.endpoints(), plan, telemetry);
-    let mut endpoints: Vec<Option<_>> = endpoints.into_iter().map(Some).collect();
-
-    let mut agg_handles = Vec::new();
-    for a in 0..cfg.num_aggregators {
-        let t = endpoints[cfg.aggregator_node(a) as usize].take().unwrap();
-        let cfg = cfg.clone();
-        let telemetry = telemetry.cloned();
-        agg_handles.push(thread::spawn(move || {
-            let mut agg = match &telemetry {
-                Some(tl) => RecoveryAggregator::with_telemetry(t, cfg, tl),
-                None => RecoveryAggregator::new(t, cfg),
-            };
-            let res = agg.run();
-            // Return the aggregator itself so its endpoint (and channel
-            // receiver) stays alive inside the JoinHandle until after
-            // the workers are joined: a *crashed* aggregator must look
-            // like a black hole (packets vanish), not like a closed
-            // connection — matching UDP/DPDK semantics where sends to a
-            // dead host succeed locally.
-            let stats = agg.stats;
-            (res, stats, agg)
-        }));
-    }
-
-    // Hot standbys (nodes `W+A..W+2A`): same engine, standby role is
-    // derived from the node id.
-    let mut standby_handles = Vec::new();
-    if cfg.hot_standby {
-        for a in 0..cfg.num_aggregators {
-            let t = endpoints[cfg.standby_node(a) as usize].take().unwrap();
-            let cfg = cfg.clone();
-            let telemetry = telemetry.cloned();
-            standby_handles.push(thread::spawn(move || {
-                let mut agg = match &telemetry {
-                    Some(tl) => RecoveryAggregator::with_telemetry(t, cfg, tl),
-                    None => RecoveryAggregator::new(t, cfg),
-                };
-                let res = agg.run();
-                let stats = agg.stats;
-                (res, stats, agg)
-            }));
-        }
-    }
-
-    let mut worker_handles = Vec::new();
-    for (w, tensor) in inputs.iter().enumerate() {
-        let t = endpoints[cfg.worker_node(w) as usize].take().unwrap();
-        let cfg = cfg.clone();
-        let telemetry = telemetry.cloned();
-        let mut tensor = tensor.clone();
-        worker_handles.push(thread::spawn(move || {
-            let mut worker = match &telemetry {
-                Some(tl) => RecoveryWorker::with_telemetry(t, cfg, tl),
-                None => RecoveryWorker::new(t, cfg),
-            };
-            let start = Instant::now();
-            let result = worker.allreduce(&mut tensor);
-            let elapsed = start.elapsed();
-            let stats = worker.stats();
-            if result.is_ok() {
-                // Best effort: the fabric may already be gone.
-                let _ = worker.shutdown();
-            }
-            WorkerOutcome {
-                result,
-                stats,
-                output: tensor,
-                elapsed,
-            }
-        }));
-    }
-
-    let workers = worker_handles
-        .into_iter()
-        .map(|h| h.join().expect("worker thread panicked"))
-        .collect();
-    let aggs = agg_handles
-        .into_iter()
-        .map(|h| {
-            let (res, stats, _agg) = h.join().expect("aggregator thread panicked");
-            (res, stats)
-        })
-        .collect();
-    let standbys = standby_handles
-        .into_iter()
-        .map(|h| {
-            let (res, stats, _agg) = h.join().expect("standby thread panicked");
-            (res, stats)
-        })
-        .collect();
-    ChaosOutcome {
-        workers,
-        aggs,
-        standbys,
-    }
+) -> GroupOutcome<Recovery> {
+    let mesh = ChannelNetwork::new(cfg.mesh_size()).endpoints();
+    let endpoints = ChaosNetwork::wrap(mesh, plan, telemetry);
+    let rounds = inputs.iter().map(|t| vec![t.clone()]).collect();
+    group::run::<Recovery>(cfg, Nodes::mesh(cfg, endpoints), rounds, telemetry, None)
 }
 
 fn small_cfg(n: usize, len: usize) -> OmniConfig {
@@ -224,10 +113,11 @@ fn crashed_aggregator_fails_fast_within_budget() {
                     saw_unresponsive = true;
                     assert_eq!(*peer, cfg.aggregator_node(0), "worker {w}");
                     assert_eq!(*retransmits, max_retransmits, "worker {w}");
+                    let elapsed = Duration::from_nanos(o.round_nanos[0]);
                     assert!(
-                        o.elapsed < bound,
+                        elapsed < bound,
                         "worker {w} took {:?}, bound {bound:?}",
-                        o.elapsed
+                        elapsed
                     );
                 }
                 Err(ProtocolError::Transport(_)) => {
@@ -279,7 +169,7 @@ fn crashed_worker_is_evicted_and_collective_completes_degraded() {
         // same result packets).
         assert!(out.workers[0].result.is_ok(), "{:?}", out.workers[0].result);
         assert!(out.workers[1].result.is_ok(), "{:?}", out.workers[1].result);
-        let diff = out.workers[0].output.max_abs_diff(&out.workers[1].output);
+        let diff = out.workers[0].outputs[0].max_abs_diff(&out.workers[1].outputs[0]);
         assert_eq!(diff, 0.0, "survivors disagree by {diff}");
         // The crashed worker observes its own death (its endpoint is
         // torn down) rather than hanging.
@@ -342,7 +232,7 @@ fn partition_window_is_bridged_by_retransmission() {
         let out = run_chaos(&cfg, &plan, &inputs, None);
         for (w, o) in out.workers.iter().enumerate() {
             assert!(o.result.is_ok(), "worker {w} failed: {:?}", o.result);
-            let diff = o.output.max_abs_diff(&base.workers[w].output);
+            let diff = o.outputs[0].max_abs_diff(&base.workers[w].outputs[0]);
             assert_eq!(diff, 0.0, "worker {w} diverges from lossless by {diff}");
         }
         assert!(
@@ -373,7 +263,7 @@ fn straggler_delay_is_absorbed() {
         let out = run_chaos(&cfg, &plan, &inputs, Some(&telemetry));
         for (w, o) in out.workers.iter().enumerate() {
             assert!(o.result.is_ok(), "worker {w} failed: {:?}", o.result);
-            let diff = o.output.max_abs_diff(&base.workers[w].output);
+            let diff = o.outputs[0].max_abs_diff(&base.workers[w].outputs[0]);
             assert_eq!(diff, 0.0, "worker {w} diverges by {diff}");
         }
         assert!(
@@ -440,7 +330,7 @@ fn primary_crash_fails_over_to_standby_bit_identical() {
                     "crash_after={crash_after} worker {w}: {:?}",
                     o.result
                 );
-                let diff = o.output.max_abs_diff(&base.workers[w].output);
+                let diff = o.outputs[0].max_abs_diff(&base.workers[w].outputs[0]);
                 assert_eq!(
                     diff, 0.0,
                     "crash_after={crash_after} worker {w}: failover result \
@@ -536,7 +426,7 @@ fn failover_survives_loss_on_the_standby_link() {
         let o = &out.workers[0];
         assert!(o.result.is_ok(), "{:?}", o.result);
         assert_eq!(o.stats.failovers, 1, "expected exactly one failover");
-        let diff = o.output.max_abs_diff(&base.workers[0].output);
+        let diff = o.outputs[0].max_abs_diff(&base.workers[0].outputs[0]);
         assert_eq!(diff, 0.0, "failover result differs by {diff}");
         assert!(out.standbys[0].0.is_ok(), "{:?}", out.standbys[0].0);
     });
@@ -565,7 +455,8 @@ fn sharded_primary_crash_fails_over_bit_identical() {
         let inputs = gen_inputs(n, 1024, 59);
 
         let clean = [FaultPlan::new(1), FaultPlan::new(2)];
-        let base = ShardedAllReduce::run_recovery_chaos(&cfg, &clean, &inputs, None);
+        let rounds: Vec<Vec<Tensor>> = inputs.iter().map(|t| vec![t.clone()]).collect();
+        let base = ShardedAllReduce::run::<Recovery>(&cfg, Some(&clean), rounds.clone(), None);
         for (w, o) in base.workers.iter().enumerate() {
             assert!(o.result.is_ok(), "baseline worker {w}: {:?}", o.result);
             assert!(o.shutdown.is_ok(), "baseline worker {w} goodbye failed");
@@ -576,10 +467,10 @@ fn sharded_primary_crash_fails_over_bit_identical() {
             FaultPlan::new(1),
             FaultPlan::new(61).crash_after(cfg.aggregator_node(1), 3),
         ];
-        let out = ShardedAllReduce::run_recovery_chaos(&cfg, &plans, &inputs, None);
+        let out = ShardedAllReduce::run::<Recovery>(&cfg, Some(&plans), rounds, None);
         for (w, o) in out.workers.iter().enumerate() {
             assert!(o.result.is_ok(), "worker {w}: {:?}", o.result);
-            let diff = o.output.max_abs_diff(&base.workers[w].output);
+            let diff = o.outputs[0].max_abs_diff(&base.workers[w].outputs[0]);
             assert_eq!(
                 diff, 0.0,
                 "worker {w}: sharded failover result differs from clean run by {diff}"
@@ -711,7 +602,7 @@ proptest! {
             let out = run_chaos(&cfg, &plan, &inputs, None);
             for (w, o) in out.workers.iter().enumerate() {
                 assert!(o.result.is_ok(), "worker {w} failed: {:?}", o.result);
-                let diff = o.output.max_abs_diff(&base.workers[w].output);
+                let diff = o.outputs[0].max_abs_diff(&base.workers[w].outputs[0]);
                 assert_eq!(
                     diff, 0.0,
                     "worker {w}: chaos result differs from lossless by {diff}"

@@ -14,14 +14,10 @@
 //!   — and a lossless sharded run — yield recordings from which
 //!   [`RoundAttribution`] rebuilds every round with a nonzero budget.
 
-use std::thread;
 use std::time::Duration;
 
 use omnireduce_core::config::OmniConfig;
-use omnireduce_core::error::ProtocolError;
-use omnireduce_core::recovery::{
-    RecoveryAggregator, RecoveryAggregatorStats, RecoveryStats, RecoveryWorker,
-};
+use omnireduce_core::group::{self, GroupOutcome, Lossless, Nodes, Recovery};
 use omnireduce_core::shard::ShardedAllReduce;
 use omnireduce_core::testing::with_deadline;
 use omnireduce_telemetry::{AttributionConfig, FlightRecording, RoundAttribution, Telemetry};
@@ -35,92 +31,24 @@ use proptest::prelude::*;
 /// test run wraps (wrapping is exercised in the telemetry unit tests).
 const FLIGHT_CAP: usize = 1 << 16;
 
-struct MultiRoundOutcome {
-    /// `outputs[w][r]` = worker `w`'s tensor after round `r`.
-    outputs: Vec<Vec<Tensor>>,
-    results: Vec<Result<(), ProtocolError>>,
-    stats: Vec<RecoveryStats>,
-    agg_stats: Vec<(Result<(), ProtocolError>, RecoveryAggregatorStats)>,
-}
-
 /// Runs `rounds` AllReduces per worker over a chaos-wrapped channel
-/// mesh (single aggregator), mirroring `tests/fault.rs::run_chaos` but
+/// mesh (single aggregator), like `tests/fault.rs::run_chaos` but
 /// multi-round so the detectors have a time series to work on.
 fn run_rounds(
     cfg: &OmniConfig,
     plan: &FaultPlan,
     inputs: &[Vec<Tensor>],
     telemetry: Option<&Telemetry>,
-) -> MultiRoundOutcome {
-    assert_eq!(inputs.len(), cfg.num_workers);
-    let mut net = ChannelNetwork::new(cfg.mesh_size());
-    let endpoints = ChaosNetwork::wrap(net.endpoints(), plan, telemetry);
-    let mut endpoints: Vec<Option<_>> = endpoints.into_iter().map(Some).collect();
-
-    let mut agg_handles = Vec::new();
-    for a in 0..cfg.num_aggregators {
-        let t = endpoints[cfg.aggregator_node(a) as usize].take().unwrap();
-        let cfg = cfg.clone();
-        let telemetry = telemetry.cloned();
-        agg_handles.push(thread::spawn(move || {
-            let mut agg = match &telemetry {
-                Some(tl) => RecoveryAggregator::with_telemetry(t, cfg, tl),
-                None => RecoveryAggregator::new(t, cfg),
-            };
-            let res = agg.run();
-            let stats = agg.stats;
-            (res, stats, agg)
-        }));
-    }
-
-    let mut worker_handles = Vec::new();
-    for (w, tensors) in inputs.iter().enumerate() {
-        let t = endpoints[cfg.worker_node(w) as usize].take().unwrap();
-        let cfg = cfg.clone();
-        let telemetry = telemetry.cloned();
-        let mut tensors = tensors.clone();
-        worker_handles.push(thread::spawn(move || {
-            let mut worker = match &telemetry {
-                Some(tl) => RecoveryWorker::with_telemetry(t, cfg, tl),
-                None => RecoveryWorker::new(t, cfg),
-            };
-            let mut result = Ok(());
-            for tensor in tensors.iter_mut() {
-                if let Err(e) = worker.allreduce(tensor) {
-                    result = Err(e);
-                    break;
-                }
-            }
-            let stats = worker.stats();
-            if result.is_ok() {
-                let _ = worker.shutdown();
-            }
-            (result, stats, tensors)
-        }));
-    }
-
-    let mut outputs = Vec::new();
-    let mut results = Vec::new();
-    let mut stats = Vec::new();
-    for h in worker_handles {
-        let (res, st, out) = h.join().expect("worker thread panicked");
-        results.push(res);
-        stats.push(st);
-        outputs.push(out);
-    }
-    let agg_stats = agg_handles
-        .into_iter()
-        .map(|h| {
-            let (res, st, _agg) = h.join().expect("aggregator thread panicked");
-            (res, st)
-        })
-        .collect();
-    MultiRoundOutcome {
-        outputs,
-        results,
-        stats,
-        agg_stats,
-    }
+) -> GroupOutcome<Recovery> {
+    let mesh = ChannelNetwork::new(cfg.mesh_size()).endpoints();
+    let endpoints = ChaosNetwork::wrap(mesh, plan, telemetry);
+    group::run::<Recovery>(
+        cfg,
+        Nodes::mesh(cfg, endpoints),
+        inputs.to_vec(),
+        telemetry,
+        None,
+    )
 }
 
 fn small_cfg(n: usize, len: usize) -> OmniConfig {
@@ -192,20 +120,20 @@ proptest! {
             let plan = FaultPlan::new(seed ^ 0xF11E).loss(loss);
 
             let off = run_rounds(&cfg, &plan, &inputs, None);
-            assert!(off.results[0].is_ok(), "{:?}", off.results[0]);
+            assert!(off.workers[0].result.is_ok(), "{:?}", off.workers[0].result);
 
             let telemetry = flight_telemetry();
             let on = run_rounds(&cfg, &plan, &inputs, Some(&telemetry));
-            assert!(on.results[0].is_ok(), "{:?}", on.results[0]);
+            assert!(on.workers[0].result.is_ok(), "{:?}", on.workers[0].result);
 
             // Bit-identical tensors, identical stats.
             for r in 0..rounds {
-                let diff = off.outputs[0][r].max_abs_diff(&on.outputs[0][r]);
+                let diff = off.workers[0].outputs[r].max_abs_diff(&on.workers[0].outputs[r]);
                 assert_eq!(diff, 0.0, "round {r}: recorder perturbed the sum");
             }
-            assert_eq!(off.stats[0], on.stats[0], "recorder perturbed worker stats");
+            assert_eq!(off.workers[0].stats, on.workers[0].stats, "recorder perturbed worker stats");
             assert_eq!(
-                off.agg_stats[0].1, on.agg_stats[0].1,
+                off.aggs[0].1, on.aggs[0].1,
                 "recorder perturbed aggregator stats"
             );
 
@@ -213,7 +141,7 @@ proptest! {
             // reconstructs every round.
             let telemetry2 = flight_telemetry();
             let replay = run_rounds(&cfg, &plan, &inputs, Some(&telemetry2));
-            assert_eq!(on.stats[0], replay.stats[0], "recorded replay diverged");
+            assert_eq!(on.workers[0].stats, replay.workers[0].stats, "recorded replay diverged");
 
             let rec = telemetry.flight().snapshot();
             assert!(!rec.is_empty(), "flight recording is empty");
@@ -250,7 +178,7 @@ fn straggler_detector_flags_the_seeded_slow_worker() {
 
         let telemetry = flight_telemetry();
         let out = run_rounds(&cfg, &plan, &inputs, Some(&telemetry));
-        for (w, r) in out.results.iter().enumerate() {
+        for (w, r) in out.workers.iter().map(|o| &o.result).enumerate() {
             assert!(r.is_ok(), "worker {w} failed: {r:?}");
         }
 
@@ -288,11 +216,11 @@ fn loss_detector_flags_retransmission_bursts() {
 
         let telemetry = flight_telemetry();
         let out = run_rounds(&cfg, &plan, &inputs, Some(&telemetry));
-        assert!(out.results[0].is_ok(), "{:?}", out.results[0]);
+        assert!(out.workers[0].result.is_ok(), "{:?}", out.workers[0].result);
         assert!(
-            out.stats[0].retransmissions > 0,
+            out.workers[0].stats.retransmissions > 0,
             "the plan must actually force retransmissions: {:?}",
-            out.stats[0]
+            out.workers[0].stats
         );
 
         let rec = telemetry.flight().snapshot();
@@ -308,7 +236,7 @@ fn loss_detector_flags_retransmission_bursts() {
         assert!(
             !attrib.loss_windows.is_empty(),
             "loss detector found no burst despite {} retransmissions",
-            out.stats[0].retransmissions
+            out.workers[0].stats.retransmissions
         );
         let window_retx: u64 = attrib.loss_windows.iter().map(|w| w.retransmits).sum();
         assert!(window_retx > 0, "flagged windows must carry retransmits");
@@ -329,16 +257,13 @@ fn sharded_recovery_chaos_recording_reconstructs() {
         let shards = 2;
         let len = 512;
         let cfg = small_cfg(n, len).with_aggregators(shards).with_streams(4);
-        let inputs: Vec<Tensor> = gen_rounds(n, len, 1, 71)
-            .into_iter()
-            .map(|mut v| v.remove(0))
-            .collect();
+        let inputs = gen_rounds(n, len, 1, 71);
         let plans: Vec<FaultPlan> = (0..shards)
             .map(|s| FaultPlan::new(73 + s as u64).loss(KeyedLoss::uniform(0.08, 0.02)))
             .collect();
 
         let telemetry = flight_telemetry();
-        let out = ShardedAllReduce::run_recovery_chaos(&cfg, &plans, &inputs, Some(&telemetry));
+        let out = ShardedAllReduce::run::<Recovery>(&cfg, Some(&plans), inputs, Some(&telemetry));
         for (w, o) in out.workers.iter().enumerate() {
             assert!(o.result.is_ok(), "worker {w} failed: {:?}", o.result);
         }
@@ -377,7 +302,8 @@ fn sharded_lossless_traced_run_reconstructs_every_round() {
         let inputs = gen_rounds(n, len, rounds, 83);
 
         let telemetry = flight_telemetry();
-        let out = ShardedAllReduce::run_traced(&cfg, inputs, &telemetry);
+        let out =
+            ShardedAllReduce::run::<Lossless>(&cfg, None, inputs, Some(&telemetry)).expect_ok();
         assert_eq!(out.outputs.len(), n);
 
         let attrib = reconstruct(&telemetry.flight().snapshot());

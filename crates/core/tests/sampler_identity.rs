@@ -13,14 +13,10 @@
 //!   values — RTTs, contribution delays — and are inherently
 //!   run-dependent, so the replay check covers counters.)
 
-use std::thread;
 use std::time::Duration;
 
 use omnireduce_core::config::OmniConfig;
-use omnireduce_core::error::ProtocolError;
-use omnireduce_core::recovery::{
-    RecoveryAggregator, RecoveryAggregatorStats, RecoveryStats, RecoveryWorker,
-};
+use omnireduce_core::group::{self, GroupOutcome, Nodes, Recovery};
 use omnireduce_core::testing::with_deadline;
 use omnireduce_telemetry::{Sampler, SeriesKind, SeriesSnapshot, Telemetry};
 use omnireduce_tensor::gen::{self, OverlapMode};
@@ -32,88 +28,23 @@ use proptest::prelude::*;
 /// Ring capacity per series: far more ticks than any test produces.
 const SERIES_CAP: usize = 256;
 
-struct MultiRoundOutcome {
-    /// `outputs[w][r]` = worker `w`'s tensor after round `r`.
-    outputs: Vec<Vec<Tensor>>,
-    results: Vec<Result<(), ProtocolError>>,
-    stats: Vec<RecoveryStats>,
-    agg_stats: Vec<(Result<(), ProtocolError>, RecoveryAggregatorStats)>,
-}
-
 /// Runs `rounds` AllReduces per worker over a chaos-wrapped channel
-/// mesh, mirroring `tests/flight.rs::run_rounds`.
+/// mesh, like `tests/flight.rs::run_rounds`.
 fn run_rounds(
     cfg: &OmniConfig,
     plan: &FaultPlan,
     inputs: &[Vec<Tensor>],
     telemetry: Option<&Telemetry>,
-) -> MultiRoundOutcome {
-    assert_eq!(inputs.len(), cfg.num_workers);
-    let mut net = ChannelNetwork::new(cfg.mesh_size());
-    let endpoints = ChaosNetwork::wrap(net.endpoints(), plan, telemetry);
-    let mut endpoints: Vec<Option<_>> = endpoints.into_iter().map(Some).collect();
-
-    let mut agg_handles = Vec::new();
-    for a in 0..cfg.num_aggregators {
-        let t = endpoints[cfg.aggregator_node(a) as usize].take().unwrap();
-        let cfg = cfg.clone();
-        let telemetry = telemetry.cloned();
-        agg_handles.push(thread::spawn(move || {
-            let mut agg = match &telemetry {
-                Some(tl) => RecoveryAggregator::with_telemetry(t, cfg, tl),
-                None => RecoveryAggregator::new(t, cfg),
-            };
-            let res = agg.run();
-            let stats = agg.stats;
-            (res, stats)
-        }));
-    }
-
-    let mut worker_handles = Vec::new();
-    for (w, tensors) in inputs.iter().enumerate() {
-        let t = endpoints[cfg.worker_node(w) as usize].take().unwrap();
-        let cfg = cfg.clone();
-        let telemetry = telemetry.cloned();
-        let mut tensors = tensors.clone();
-        worker_handles.push(thread::spawn(move || {
-            let mut worker = match &telemetry {
-                Some(tl) => RecoveryWorker::with_telemetry(t, cfg, tl),
-                None => RecoveryWorker::new(t, cfg),
-            };
-            let mut result = Ok(());
-            for tensor in tensors.iter_mut() {
-                if let Err(e) = worker.allreduce(tensor) {
-                    result = Err(e);
-                    break;
-                }
-            }
-            let stats = worker.stats();
-            if result.is_ok() {
-                let _ = worker.shutdown();
-            }
-            (result, stats, tensors)
-        }));
-    }
-
-    let mut outputs = Vec::new();
-    let mut results = Vec::new();
-    let mut stats = Vec::new();
-    for h in worker_handles {
-        let (res, st, out) = h.join().expect("worker thread panicked");
-        results.push(res);
-        stats.push(st);
-        outputs.push(out);
-    }
-    let agg_stats = agg_handles
-        .into_iter()
-        .map(|h| h.join().expect("aggregator thread panicked"))
-        .collect();
-    MultiRoundOutcome {
-        outputs,
-        results,
-        stats,
-        agg_stats,
-    }
+) -> GroupOutcome<Recovery> {
+    let mesh = ChannelNetwork::new(cfg.mesh_size()).endpoints();
+    let endpoints = ChaosNetwork::wrap(mesh, plan, telemetry);
+    group::run::<Recovery>(
+        cfg,
+        Nodes::mesh(cfg, endpoints),
+        inputs.to_vec(),
+        telemetry,
+        None,
+    )
 }
 
 fn small_cfg(n: usize, len: usize) -> OmniConfig {
@@ -158,17 +89,17 @@ fn replay_counters(
     let telemetry = Telemetry::with_pipeline(0, 0, SERIES_CAP);
     let warm = run_rounds(cfg, plan, inputs, Some(&telemetry));
     assert!(
-        warm.results[0].is_ok(),
+        warm.workers[0].result.is_ok(),
         "warmup run failed: {:?}",
-        warm.results[0]
+        warm.workers[0].result
     );
 
     let mut sampler = Sampler::new(&telemetry);
     let run = run_rounds(cfg, plan, inputs, Some(&telemetry));
     assert!(
-        run.results[0].is_ok(),
+        run.workers[0].result.is_ok(),
         "measured run failed: {:?}",
-        run.results[0]
+        run.workers[0].result
     );
     sampler.tick_at(1_000);
 
@@ -204,7 +135,7 @@ proptest! {
             let plan = FaultPlan::new(seed ^ 0x5A4E).loss(KeyedLoss::uniform(drop, dup));
 
             let off = run_rounds(&cfg, &plan, &inputs, None);
-            assert!(off.results[0].is_ok(), "{:?}", off.results[0]);
+            assert!(off.workers[0].result.is_ok(), "{:?}", off.workers[0].result);
 
             // A live background sampler ticking every 200 µs while the
             // protocol runs.
@@ -213,15 +144,15 @@ proptest! {
                 Sampler::spawn(&telemetry, Duration::from_micros(200)).expect("spawn sampler");
             let on = run_rounds(&cfg, &plan, &inputs, Some(&telemetry));
             sampler.stop();
-            assert!(on.results[0].is_ok(), "{:?}", on.results[0]);
+            assert!(on.workers[0].result.is_ok(), "{:?}", on.workers[0].result);
 
             for r in 0..rounds {
-                let diff = off.outputs[0][r].max_abs_diff(&on.outputs[0][r]);
+                let diff = off.workers[0].outputs[r].max_abs_diff(&on.workers[0].outputs[r]);
                 assert_eq!(diff, 0.0, "round {r}: sampler perturbed the sum");
             }
-            assert_eq!(off.stats[0], on.stats[0], "sampler perturbed worker stats");
+            assert_eq!(off.workers[0].stats, on.workers[0].stats, "sampler perturbed worker stats");
             assert_eq!(
-                off.agg_stats[0].1, on.agg_stats[0].1,
+                off.aggs[0].1, on.aggs[0].1,
                 "sampler perturbed aggregator stats"
             );
             let ticks = telemetry.series().snapshot().ticks();

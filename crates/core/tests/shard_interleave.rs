@@ -21,6 +21,7 @@ use std::time::Duration;
 
 use omnireduce_core::config::{DegradedMode, OmniConfig};
 use omnireduce_core::error::ProtocolError;
+use omnireduce_core::group::{Lossless, Recovery};
 use omnireduce_core::shard::{ShardMap, ShardedAllReduce};
 use omnireduce_core::testing::with_deadline;
 use omnireduce_telemetry::Telemetry;
@@ -55,7 +56,8 @@ fn sharded_cfg(n: usize, len: usize, shards: usize) -> OmniConfig {
         .with_aggregators(shards)
 }
 
-fn gen_inputs(n: usize, len: usize, seed: u64) -> Vec<Tensor> {
+/// One round of inputs per worker.
+fn gen_inputs(n: usize, len: usize, seed: u64) -> Vec<Vec<Tensor>> {
     gen::workers(
         n,
         len,
@@ -65,6 +67,9 @@ fn gen_inputs(n: usize, len: usize, seed: u64) -> Vec<Tensor> {
         OverlapMode::Random,
         seed,
     )
+    .into_iter()
+    .map(|t| vec![t])
+    .collect()
 }
 
 /// One clean (fault-free) plan per shard.
@@ -99,7 +104,8 @@ fn empty_shards_complete_the_round_end_to_end() {
             let inputs: Vec<Vec<Tensor>> = (0..2)
                 .map(|w| vec![Tensor::from_vec(vec![w as f32 + 1.0; len])])
                 .collect();
-            let res = ShardedAllReduce::run(&cfg, inputs.clone());
+            let res =
+                ShardedAllReduce::run::<Lossless>(&cfg, None, inputs.clone(), None).expect_ok();
             for outs in &res.outputs {
                 for v in outs[0].as_slice() {
                     assert_eq!(*v, 3.0, "{shards} shards, {len} elements");
@@ -116,7 +122,7 @@ fn empty_shards_complete_the_round_end_to_end() {
 
             // Same geometry over the Algorithm 2 engine: the recovery
             // aggregator on an empty shard also winds down on goodbyes.
-            let rec = ShardedAllReduce::run_recovery(&cfg, inputs);
+            let rec = ShardedAllReduce::run::<Recovery>(&cfg, None, inputs, None).expect_ok();
             for (w, outs) in rec.outputs.iter().enumerate() {
                 let diff = outs[0].max_abs_diff(&res.outputs[w][0]);
                 assert_eq!(diff, 0.0, "recovery diverges on worker {w}");
@@ -159,7 +165,7 @@ proptest! {
             let inputs = gen_inputs(n, len, seed);
 
             let base =
-                ShardedAllReduce::run_recovery_chaos(&cfg, &clean_plans(shards, seed), &inputs, None);
+                ShardedAllReduce::run::<Recovery>(&cfg, Some(&clean_plans(shards, seed)), inputs.clone(), None);
             for (w, o) in base.workers.iter().enumerate() {
                 assert!(o.result.is_ok(), "clean run failed on worker {w}: {:?}", o.result);
             }
@@ -176,7 +182,7 @@ proptest! {
                 .collect();
 
             let run = |telemetry: Option<&Telemetry>| {
-                let out = ShardedAllReduce::run_recovery_chaos(&cfg, &plans, &inputs, telemetry);
+                let out = ShardedAllReduce::run::<Recovery>(&cfg, Some(&plans), inputs.clone(), telemetry);
                 for (w, o) in out.workers.iter().enumerate() {
                     assert!(o.result.is_ok(), "worker {w} failed: {:?}", o.result);
                 }
@@ -188,7 +194,7 @@ proptest! {
 
             let out = run(None);
             for (w, o) in out.workers.iter().enumerate() {
-                let diff = o.output.max_abs_diff(&base.workers[w].output);
+                let diff = o.outputs[0].max_abs_diff(&base.workers[w].outputs[0]);
                 assert_eq!(diff, 0.0, "worker {w}: chaos result differs by {diff}");
                 let split: u64 = o.shard_bytes.iter().sum();
                 assert_eq!(split, o.stats.bytes_sent, "worker {w} byte split");
@@ -240,8 +246,12 @@ fn one_shard_straggler_keeps_every_bit_stable() {
             .with_max_retransmits(40);
         let inputs = gen_inputs(n, 512, 41);
 
-        let base =
-            ShardedAllReduce::run_recovery_chaos(&cfg, &clean_plans(shards, 1), &inputs, None);
+        let base = ShardedAllReduce::run::<Recovery>(
+            &cfg,
+            Some(&clean_plans(shards, 1)),
+            inputs.clone(),
+            None,
+        );
         for o in &base.workers {
             assert!(o.result.is_ok(), "clean run failed: {:?}", o.result);
         }
@@ -251,10 +261,10 @@ fn one_shard_straggler_keeps_every_bit_stable() {
             FaultPlan::new(43),
             FaultPlan::new(47).straggle(cfg.aggregator_node(1), Duration::from_millis(2)),
         ];
-        let out = ShardedAllReduce::run_recovery_chaos(&cfg, &plans, &inputs, Some(&telemetry));
+        let out = ShardedAllReduce::run::<Recovery>(&cfg, Some(&plans), inputs, Some(&telemetry));
         for (w, o) in out.workers.iter().enumerate() {
             assert!(o.result.is_ok(), "worker {w} failed: {:?}", o.result);
-            let diff = o.output.max_abs_diff(&base.workers[w].output);
+            let diff = o.outputs[0].max_abs_diff(&base.workers[w].outputs[0]);
             assert_eq!(diff, 0.0, "worker {w} diverges under the straggling shard");
         }
         assert!(
@@ -297,7 +307,7 @@ fn non_primary_aggregator_crash_fails_fast_and_survivor_winds_down() {
             FaultPlan::new(59),
             FaultPlan::new(61).crash_after(cfg.aggregator_node(1), 2),
         ];
-        let out = ShardedAllReduce::run_recovery_chaos(&cfg, &plans, &inputs, None);
+        let out = ShardedAllReduce::run::<Recovery>(&cfg, Some(&plans), inputs, None);
 
         let mut saw_unresponsive = false;
         for (w, o) in out.workers.iter().enumerate() {

@@ -26,11 +26,9 @@ use std::time::Duration;
 
 use omnireduce_core::config::OmniConfig;
 use omnireduce_core::error::ProtocolError;
+use omnireduce_core::group::{GroupOutcome, GroupResult, Lossless, Recovery, WorkerRun};
 use omnireduce_core::shard::ShardedAllReduce;
-use omnireduce_core::tenant::{
-    JobRegistry, TenantChaosWorker, TenantRecoveryOutcome, TenantRunResult, TenantService,
-    TenantSpec,
-};
+use omnireduce_core::tenant::{JobRegistry, TenantRun, TenantService, TenantSpec};
 use omnireduce_core::testing::with_deadline;
 use omnireduce_tensor::gen::{self, OverlapMode};
 use omnireduce_tensor::{BlockSpec, Tensor};
@@ -124,7 +122,11 @@ fn registry(cap: usize) -> JobRegistry {
 
 /// Runs one lossless spec alone on a fresh fleet — the isolation
 /// baseline every multiplexed tenant is compared against.
-fn solo_lossless(spec: TenantSpec, inputs: Vec<Vec<Tensor>>, slots: u64) -> TenantRunResult {
+fn solo_lossless(
+    spec: TenantSpec,
+    inputs: Vec<Vec<Tensor>>,
+    slots: u64,
+) -> TenantRun<GroupResult<Lossless>> {
     let mut svc = TenantService::with_registry(SHARDS, slots, registry(1));
     let handle = svc.admit(spec).expect("solo admission");
     let res = handle.run_lossless(inputs);
@@ -133,7 +135,11 @@ fn solo_lossless(spec: TenantSpec, inputs: Vec<Vec<Tensor>>, slots: u64) -> Tena
 }
 
 /// Runs one recovery spec alone on a fresh fleet.
-fn solo_recovery(spec: TenantSpec, inputs: Vec<Vec<Tensor>>, slots: u64) -> TenantRecoveryOutcome {
+fn solo_recovery(
+    spec: TenantSpec,
+    inputs: Vec<Vec<Tensor>>,
+    slots: u64,
+) -> TenantRun<GroupOutcome<Recovery>> {
     let mut svc = TenantService::with_registry(SHARDS, slots, registry(1));
     let handle = svc.admit(spec).expect("solo admission");
     let res = handle.run_recovery(inputs);
@@ -174,7 +180,7 @@ fn eight_tenants_are_bit_identical_to_their_solo_runs() {
             .collect();
 
         // Solo baselines on private fleets (generous pool: no queueing).
-        let solos: Vec<TenantRunResult> = (0..TENANTS)
+        let solos: Vec<TenantRun<GroupResult<Lossless>>> = (0..TENANTS)
             .map(|t| {
                 solo_lossless(
                     TenantSpec::lossless(tenant_cfg(WORKERS, LEN)),
@@ -207,7 +213,7 @@ fn eight_tenants_are_bit_identical_to_their_solo_runs() {
             .collect();
         assert_eq!(svc.live_tenants(), TENANTS);
 
-        let results: Vec<TenantRunResult> = std::thread::scope(|scope| {
+        let results: Vec<TenantRun<GroupResult<Lossless>>> = std::thread::scope(|scope| {
             let joins: Vec<_> = handles
                 .into_iter()
                 .zip(inputs.iter())
@@ -263,7 +269,7 @@ fn tenant_plan(seed: u64, t: usize, drop: f64, dup: f64, bursty: bool) -> FaultP
     FaultPlan::new(seed ^ (0xBEEF + 977 * t as u64)).loss(loss)
 }
 
-fn assert_chaos_worker_eq(label: &str, got: &TenantChaosWorker, want: &TenantChaosWorker) {
+fn assert_chaos_worker_eq(label: &str, got: &WorkerRun<Recovery>, want: &WorkerRun<Recovery>) {
     assert!(
         got.result.is_ok(),
         "{label}: multiplexed run failed: {:?}",
@@ -319,7 +325,7 @@ proptest! {
                 .map(|t| round_inputs(1, len, ROUNDS, seed ^ (0x5000 + 31 * t as u64)))
                 .collect();
 
-            let solos: Vec<TenantRecoveryOutcome> = (0..tenants)
+            let solos: Vec<TenantRun<GroupOutcome<Recovery>>> = (0..tenants)
                 .map(|t| solo_recovery(specs(t), inputs[t].clone(), 64))
                 .collect();
 
@@ -327,7 +333,7 @@ proptest! {
             let handles: Vec<_> = (0..tenants)
                 .map(|t| svc.admit(specs(t)).expect("admission"))
                 .collect();
-            let results: Vec<TenantRecoveryOutcome> = std::thread::scope(|scope| {
+            let results: Vec<TenantRun<GroupOutcome<Recovery>>> = std::thread::scope(|scope| {
                 let joins: Vec<_> = handles
                     .into_iter()
                     .zip(inputs.iter())
@@ -528,7 +534,8 @@ fn solo_service_tenant_matches_plain_sharded_harness() {
         assert_eq!(service.stream, 1, "first admission takes stream 1");
 
         // The harness must speak the same dialect: stream id 1.
-        let harness = ShardedAllReduce::run(&cfg.with_stream_id(1), inputs);
+        let harness = ShardedAllReduce::run::<Lossless>(&cfg.with_stream_id(1), None, inputs, None)
+            .expect_ok();
 
         assert_outputs_equal("service vs harness", &service.outputs, &harness.outputs);
         assert_eq!(service.stats, harness.stats, "worker stats differ");

@@ -18,16 +18,29 @@
 //! sequence-counting RNG would assign drops to different packets on
 //! different runs. The keyed loss model instead derives each
 //! packet's fate from a hash of `(seed, link, flow key, attempt#)`,
-//! where the flow key identifies the *logical* packet (stream, version,
-//! worker) and the attempt number counts its retransmissions. The fate
-//! of every transmission attempt is therefore a pure function of the
-//! plan — identical across replays regardless of thread scheduling —
-//! which is what makes `RecoveryStats`-exact determinism tests possible
-//! on the executable engines. Burstiness runs a Gilbert–Elliott chain
-//! *per flow over its attempts* (initialized from the stationary
-//! distribution), so consecutive retransmissions of one packet die
-//! together: the scenario that stresses exponential backoff and retry
-//! budgets hardest.
+//! where the flow key of a block packet is its header's
+//! `(kind, ver, slot, wid)` — direction, two-phase slot version, slot,
+//! worker — and the attempt number counts the transmissions under that
+//! key. The fate of every transmission attempt is therefore a pure
+//! function of the plan — identical across replays regardless of thread
+//! scheduling — which is what makes `RecoveryStats`-exact determinism
+//! tests possible on the executable engines. Burstiness runs a
+//! Gilbert–Elliott chain *per flow over its attempts* (initialized from
+//! the stationary distribution), so consecutive retransmissions of one
+//! packet die together: the scenario that stresses exponential backoff
+//! and retry budgets hardest.
+//!
+//! A flow is wider than one packet: the key holds no block index, and a
+//! slot's version alternates between two values phase after phase, so
+//! every phase that reuses a slot version continues the same flow — its
+//! attempt counter and its Gilbert–Elliott chain carry on from the
+//! earlier phase instead of starting fresh. Uniform loss does not notice
+//! (each attempt is an independent hash); a bursty run carries a bad
+//! state from one phase into a later one. The block stays out because
+//! the key is built from the fixed header alone (blocks travel in the
+//! entries), and adding it would change every keyed fate, and with them
+//! every seeded keyed-loss expectation in the suites and the recorded
+//! results.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -359,9 +372,11 @@ const SALT_DUP: u64 = 0xD1;
 const SALT_INIT: u64 = 0xB0;
 const SALT_TRANS: u64 = 0xB1;
 
-/// Structural flow key of a data-plane message: identifies the logical
-/// packet so all retransmissions of it share one attempt counter. Control
-/// messages have no flow key.
+/// Structural flow key of a data-plane message, so all retransmissions
+/// of a packet share one attempt counter. For a block packet it is
+/// `(kind, ver, slot, wid)` with no block index, so later phases that
+/// reuse a slot version continue the flow (see the module docs).
+/// Control messages have no flow key.
 fn flow_key(msg: &Message) -> Option<u64> {
     match msg {
         // Tenant-local coordinates only (slot, not the tenant stream

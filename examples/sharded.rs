@@ -12,6 +12,7 @@
 //! ```
 
 use omnireduce::core::config::OmniConfig;
+use omnireduce::core::group::Lossless;
 use omnireduce::core::shard::ShardedAllReduce;
 use omnireduce::tensor::gen::{self, OverlapMode};
 use omnireduce::tensor::{dense::reference_sum, BlockSpec};
@@ -46,7 +47,7 @@ fn main() {
     // One round per worker; the harness spawns every engine on its own
     // thread over per-shard channel meshes and joins them.
     let rounds = inputs.into_iter().map(|t| vec![t]).collect();
-    let out = ShardedAllReduce::run(&cfg, rounds);
+    let out = ShardedAllReduce::run::<Lossless>(&cfg, None, rounds, None).expect_ok();
 
     for (w, result) in out.outputs.iter().enumerate() {
         assert!(

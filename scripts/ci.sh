@@ -123,6 +123,12 @@ step_t 120 "tcp transport leaks" \
 step_t 300 "tcp conformance" \
   cargo test "${CARGO_FLAGS[@]}" -p omnireduce --test tcp_conformance -q
 
+# Algorithm 2 over real lossy UDP sockets, bit-identical to the same
+# collective over TCP, plus the bounded-retry exit against an unbound
+# peer. A group that waits on a lost goodbye hangs rather than fails.
+step_t 300 "udp recovery (UDP ≡ TCP under loss)" \
+  cargo test "${CARGO_FLAGS[@]}" -p omnireduce --test udp_recovery -q
+
 # Flight-recorder suite (§11 observability): chaos runs with the
 # recorder on must stay bit-identical to recorder-off runs, the
 # reconstructor must recover every round, and the seeded straggler /

@@ -26,6 +26,7 @@ use std::thread;
 use std::time::Duration;
 
 use omnireduce::core::config::OmniConfig;
+use omnireduce::core::group::Lossless;
 use omnireduce::core::hierarchical::{hierarchical_allreduce, IntraNode};
 use omnireduce::core::shard::ShardedAllReduce;
 use omnireduce::core::sim::{simulate_allreduce, SimSpec};
@@ -116,8 +117,8 @@ fn executable_engines_agree_bitwise_with_scalar_oracle() {
 
         // 1b. Sharded lossless engines: per-shard lanes and threaded
         //     aggregators must not change a single bit.
-        let sharded =
-            ShardedAllReduce::run(&config(), ins.iter().map(|t| vec![t.clone()]).collect());
+        let rounds = ins.iter().map(|t| vec![t.clone()]).collect();
+        let sharded = ShardedAllReduce::run::<Lossless>(&config(), None, rounds, None).expect_ok();
         for (w, outs) in sharded.outputs.iter().enumerate() {
             assert_bits_eq(&outs[0], &want, &format!("sharded lossless w{w}"));
         }
@@ -277,8 +278,8 @@ fn simulators_charge_exactly_the_executable_engines_bytes() {
         // The sharded deployment (per-shard lanes, threaded aggregators)
         // is protocol-identical: its per-shard byte split must match the
         // single-transport engines' split exactly, shard by shard.
-        let sharded =
-            ShardedAllReduce::run(&config(), ins.iter().map(|t| vec![t.clone()]).collect());
+        let rounds = ins.iter().map(|t| vec![t.clone()]).collect();
+        let sharded = ShardedAllReduce::run::<Lossless>(&config(), None, rounds, None).expect_ok();
         let sharded_shard_bytes = fold_shard_bytes(
             &sharded.shard_bytes,
             sharded.stats.iter().map(|s| s.bytes_sent),

@@ -12,15 +12,14 @@
 
 use std::net::{IpAddr, Ipv4Addr, SocketAddr};
 use std::sync::atomic::{AtomicU16, Ordering};
-use std::thread;
 use std::time::Duration;
 
 use omnireduce::core::config::OmniConfig;
+use omnireduce::core::group::{self, GroupResult, Lossless, Nodes};
 use omnireduce::core::testing::{
     assert_bits_eq, config_of, gen_inputs, run_group, scalar_oracle, scenarios, with_deadline,
     Scenario,
 };
-use omnireduce::core::{OmniAggregator, OmniWorker, WorkerStats};
 use omnireduce::tensor::Tensor;
 use omnireduce::transport::{NodeId, TcpNetwork};
 
@@ -35,53 +34,11 @@ fn alloc_addrs(n: usize) -> Vec<SocketAddr> {
 }
 
 /// `core::testing::run_group` with every node establishing its own TCP
-/// endpoint from its own thread, as separate processes would:
-/// `(outputs[w][r], stats[w])`.
-fn run_group_over_tcp(
-    cfg: &OmniConfig,
-    inputs: Vec<Vec<Tensor>>,
-) -> (Vec<Vec<Tensor>>, Vec<WorkerStats>) {
+/// endpoint from its own thread, as separate processes would.
+fn run_group_over_tcp(cfg: &OmniConfig, inputs: Vec<Vec<Tensor>>) -> GroupResult<Lossless> {
     let addrs = alloc_addrs(cfg.mesh_size());
-    let agg_handles: Vec<_> = (0..cfg.num_aggregators)
-        .map(|a| {
-            let (cfg, addrs) = (cfg.clone(), addrs.clone());
-            thread::spawn(move || {
-                let node = NodeId(cfg.aggregator_node(a));
-                let t = TcpNetwork::establish(node, &addrs).expect("tcp establish");
-                OmniAggregator::new(t, cfg)
-                    .run()
-                    .expect("aggregator failed");
-            })
-        })
-        .collect();
-    let worker_handles: Vec<_> = inputs
-        .into_iter()
-        .enumerate()
-        .map(|(w, tensors)| {
-            let (cfg, addrs) = (cfg.clone(), addrs.clone());
-            thread::spawn(move || {
-                let node = NodeId(cfg.worker_node(w));
-                let t = TcpNetwork::establish(node, &addrs).expect("tcp establish");
-                let mut worker = OmniWorker::new(t, cfg);
-                let mut outs = Vec::with_capacity(tensors.len());
-                for mut tensor in tensors {
-                    worker.allreduce(&mut tensor).expect("allreduce failed");
-                    outs.push(tensor);
-                }
-                let stats = worker.stats();
-                worker.shutdown().expect("shutdown failed");
-                (outs, stats)
-            })
-        })
-        .collect();
-    let (outputs, stats) = worker_handles
-        .into_iter()
-        .map(|h| h.join().expect("worker thread panicked"))
-        .unzip();
-    for h in agg_handles {
-        h.join().expect("aggregator thread panicked");
-    }
-    (outputs, stats)
+    let establish = |node| TcpNetwork::establish(NodeId(node), &addrs).expect("tcp establish");
+    group::run::<Lossless>(cfg, Nodes::per_node(cfg, &establish), inputs, None, None).expect_ok()
 }
 
 /// The scenarios run over sockets, by seed: dense (10), 90 % sparse (12),
@@ -92,7 +49,7 @@ const SEEDS: [u64; 6] = [10, 12, 20, 21, 22, 60];
 fn check(s: &Scenario) {
     let cfg = config_of(s);
     let inputs = gen_inputs(s);
-    let (outputs, stats) = run_group_over_tcp(&cfg, inputs.clone());
+    let GroupResult { outputs, stats, .. } = run_group_over_tcp(&cfg, inputs.clone());
     for r in 0..s.rounds {
         let oracle = scalar_oracle(&inputs, r);
         for (w, outs) in outputs.iter().enumerate() {

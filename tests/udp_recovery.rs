@@ -14,11 +14,11 @@
 
 use std::net::{IpAddr, Ipv4Addr, SocketAddr};
 use std::sync::atomic::{AtomicU16, Ordering};
-use std::thread;
 use std::time::Duration;
 
 use omnireduce::core::config::OmniConfig;
-use omnireduce::core::recovery::{RecoveryAggregator, RecoveryWorker};
+use omnireduce::core::group::{self, Nodes, Recovery};
+use omnireduce::core::recovery::RecoveryWorker;
 use omnireduce::core::testing::{assert_bits_eq, quantize, with_deadline};
 use omnireduce::core::ProtocolError;
 use omnireduce::tensor::dense::reference_sum;
@@ -67,51 +67,18 @@ fn quantized_inputs(workers: usize, elements: usize, rounds: usize, seed: u64) -
     per_worker
 }
 
-/// Runs the recovery group with each endpoint built by `make_endpoint`
-/// (node id → transport), returning every worker's per-round outputs.
-fn run_recovery<T, F>(
+/// Runs the recovery group with each node building its endpoint from
+/// its own thread with `make_endpoint` (node id → transport), returning
+/// every worker's per-round outputs.
+fn run_recovery<T: Transport>(
     cfg: &OmniConfig,
     inputs: Vec<Vec<Tensor>>,
-    make_endpoint: F,
-) -> Vec<Vec<Tensor>>
-where
-    T: Transport + 'static,
-    F: Fn(u16) -> T + Send + Clone + 'static,
-{
-    let mut agg_handles = Vec::new();
-    for a in 0..cfg.num_aggregators {
-        let node = cfg.aggregator_node(a);
-        let cfg = cfg.clone();
-        let make_endpoint = make_endpoint.clone();
-        agg_handles.push(thread::spawn(move || {
-            RecoveryAggregator::new(make_endpoint(node), cfg)
-                .run()
-                .expect("aggregator failed");
-        }));
-    }
-    let mut worker_handles = Vec::new();
-    for (w, tensors) in inputs.into_iter().enumerate() {
-        let cfg = cfg.clone();
-        let make_endpoint = make_endpoint.clone();
-        worker_handles.push(thread::spawn(move || {
-            let mut worker = RecoveryWorker::new(make_endpoint(cfg.worker_node(w)), cfg);
-            let mut outs = Vec::new();
-            for mut tensor in tensors {
-                worker.allreduce(&mut tensor).expect("allreduce failed");
-                outs.push(tensor);
-            }
-            worker.shutdown().expect("shutdown failed");
-            outs
-        }));
-    }
-    let outs: Vec<_> = worker_handles
-        .into_iter()
-        .map(|h| h.join().expect("worker thread panicked"))
-        .collect();
-    for h in agg_handles {
-        h.join().expect("aggregator thread panicked");
-    }
-    outs
+    make_endpoint: impl Fn(u16) -> T + Sync,
+) -> Vec<Vec<Tensor>> {
+    let nodes = Nodes::per_node(cfg, &make_endpoint);
+    group::run::<Recovery>(cfg, nodes, inputs, None, None)
+        .expect_ok()
+        .outputs
 }
 
 /// One matrix point: UDP mesh at `loss` vs a TCP reference of the same
